@@ -138,10 +138,11 @@ def cmd_run(args) -> int:
 
 
 def _sweep_point(label: str, path: str, sector: Tuple[int, float], k: int,
-                 max_iterations: int, threshold: float) -> List[str]:
+                 max_iterations: int, threshold: float,
+                 seed: int) -> List[str]:
     h, circuit, refs, weights, prep = _setup_problem(path, sector, k)
     config = QpvqeConfig(k=k, max_iterations=max_iterations,
-                         convergence_threshold=threshold)
+                         convergence_threshold=threshold, seed=seed)
     result = optimize(h, circuit, prep, config)
     ed = exact_diagonalize(h, sector=sector, k=k)
     attach_certificate(result, weights, ed.energies)
@@ -163,20 +164,22 @@ def cmd_sweep(args) -> int:
     max_iterations = int(manifest.options.get("max_iterations",
                                               args.max_iterations))
     threshold = float(manifest.options.get("threshold", args.threshold))
-    out_rows: List[List[str]] = [None] * len(manifest.points)
-
-    def work(index: int) -> Tuple[int, List[str]]:
-        label, path = manifest.points[index]
-        return index, _sweep_point(label, path, sector, k, max_iterations,
-                                   threshold)
-
+    options = (sector, k, max_iterations, threshold, _seed_from(args))
     if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-            for index, rows in pool.map(work, range(len(manifest.points))):
-                out_rows[index] = rows
+        # Points are pure Python work, so only processes run them in
+        # parallel; spawned workers import qpvqe afresh.  Imported here so
+        # single-job commands do not load multiprocessing.
+        import multiprocessing
+
+        context = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(
+                args.jobs, mp_context=context) as pool:
+            futures = [pool.submit(_sweep_point, label, path, *options)
+                       for label, path in manifest.points]
+            out_rows = [future.result() for future in futures]
     else:
-        for index in range(len(manifest.points)):
-            out_rows[index] = work(index)[1]
+        out_rows = [_sweep_point(label, path, *options)
+                    for label, path in manifest.points]
 
     lines = [CSV_HEADER]
     for rows in out_rows:

@@ -9,6 +9,27 @@ the pair's gate time on both operands.  Multi-qubit Pauli rotations fall
 back to per-operand one-qubit channels (we simulate gates, we do not
 transpile).  Readout error is never applied.
 
+An n-qubit density matrix is simulated as vec(rho), the row-major flat
+buffer of ``DensityMatrix.matrix``: a 2n-qubit amplitude vector whose
+qubits 0..n-1 index rows and qubits n..2n-1 index columns, so
+vec(U rho U^dag) = (U (x) conj U) vec(rho).  Each gate therefore runs
+twice through the statevector kernels: as itself on the row qubits and,
+by the conjugate rule, on the column qubits shifted by n.  X, RY, CNOT and
+their controlled forms are real and repeat unchanged; exp(-i phi/2 P)
+repeats with angle -(-1)^{#Y} phi, because conj P = (-1)^{#Y} P.  A gate
+costs O(4^n) and no 2^n x 2^n operator is ever built.  Each calibrated
+channel is a 4x4 (one qubit) or 16x16 (pair) superoperator applied as one
+gather -> matmul -> scatter over an index plan of its row and column
+qubits, and Pauli expectations are gathers Tr(P rho) = sum_j phase(j)
+rho[j, j ^ m] along the flipped diagonal.
+
+Everything derived from a calibration lives on that calibration object
+and is filled on first use: channel superoperators per gate, gather plans
+per operand set, and the noisy, theta-independent preparation state per
+preparation program, which every evaluation then copies.  Nothing derived
+is kept at module level, so a freed calibration can never lend its
+channels to a new one.
+
 Circuits may address more qubits than the calibration covers (the device
 table has five qubits); lookups wrap around the table and unknown pairs
 use the table average.  Both policies are deterministic and documented
@@ -23,7 +44,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, to_matrix
+from .pauli import (_I_POWERS, DimensionMismatch, PauliString, PauliSum,
+                    _sign_vector, _string_axes)
 from .statevector import GateOp, StateVector, apply_gate
 
 TRACE_TOL = 1e-10
@@ -70,6 +92,11 @@ class CalibrationData:
     qubits: Tuple[QubitCalibration, ...]
     pairs: Dict[Tuple[int, int], PairCalibration]
     gate_time_1q_ns: float = DEFAULT_GATE_TIME_1Q_NS
+    # Simulator state derived from this calibration, filled on first use:
+    # gate plans, gather plans and noisy preparation states (see the
+    # module docstring).  Keyed on content, so it never outlives its data.
+    _derived: Dict[tuple, object] = field(default_factory=dict, init=False,
+                                          compare=False, repr=False)
 
     def qubit(self, q: int) -> QubitCalibration:
         return self.qubits[q % len(self.qubits)]
@@ -156,19 +183,32 @@ def zero_noise_calibration(n_qubits: int = 1) -> CalibrationData:
 # ---------------------------------------------------------------------------
 
 class DensityMatrix:
-    __slots__ = ("n_qubits", "matrix")
+    """n-qubit density matrix held as vec(rho), a 2n-qubit ``StateVector``.
+
+    ``matrix`` is the 2^n x 2^n view of that buffer; writes through it
+    reach the state, and assigning it replaces the buffer.
+    """
+
+    __slots__ = ("n_qubits", "vec")
 
     def __init__(self, n_qubits: int, matrix: Optional[np.ndarray] = None):
         self.n_qubits = n_qubits
-        dim = 1 << n_qubits
-        if matrix is None:
-            self.matrix = np.zeros((dim, dim), dtype=complex)
-            self.matrix[0, 0] = 1.0
-        else:
-            matrix = np.asarray(matrix, dtype=complex)
-            if matrix.shape != (dim, dim):
-                raise ValueError(f"expected {dim}x{dim} matrix")
-            self.matrix = matrix.copy()
+        self.vec = StateVector(2 * n_qubits)
+        if matrix is not None:
+            self.matrix = matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        dim = 1 << self.n_qubits
+        return self.vec.amplitudes.reshape(dim, dim)
+
+    @matrix.setter
+    def matrix(self, matrix: np.ndarray):
+        dim = 1 << self.n_qubits
+        matrix = np.array(matrix, dtype=complex)
+        if matrix.shape != (dim, dim):
+            raise ValueError(f"expected {dim}x{dim} matrix")
+        self.vec.amplitudes = matrix.reshape(-1)
 
     @classmethod
     def from_statevector(cls, state: StateVector) -> "DensityMatrix":
@@ -195,55 +235,25 @@ class DensityMatrix:
             raise ValueError("density matrix lost positivity")
 
     def expectation(self, op: PauliSum) -> float:
-        mat = _dense_operator(op, self.n_qubits)
-        # Tr(M rho) without the full matmul
-        value = np.einsum("ij,ji->", mat, self.matrix)
+        """Re Tr(op rho); op may act on fewer qubits (identity on the rest).
+
+        P|j> = phase(j) |j ^ m>, so Tr(P rho) = sum_j phase(j) rho[j, j ^ m]:
+        one gather of 2^n entries per term.
+        """
+        n = self.n_qubits
+        if op.n_qubits > n:
+            raise DimensionMismatch("operator larger than density matrix")
+        dim = 1 << n
+        rows = np.arange(dim)
+        flat = self.vec.amplitudes
+        value = 0.0 + 0.0j
+        for string, coeff in op.items():
+            xy, zy, n_y = _string_axes(string)
+            mask = sum(1 << (n - 1 - q) for q in xy)
+            signs = _sign_vector(n, zy).reshape(-1)
+            value += coeff * _I_POWERS[n_y & 3] * np.dot(
+                signs, flat[rows * dim + (rows ^ mask)])
         return float(value.real)
-
-
-_DENSE_OP_CACHE: Dict[Tuple[int, tuple], np.ndarray] = {}
-
-
-def _dense_operator(op: PauliSum, n_qubits: int) -> np.ndarray:
-    key = (n_qubits, tuple(sorted((s.items, c) for s, c in op.items())))
-    hit = _DENSE_OP_CACHE.get(key)
-    if hit is None:
-        hit = to_matrix(op.embed(n_qubits))
-        _DENSE_OP_CACHE[key] = hit
-    return hit
-
-
-_GATE_UNITARY_CACHE: Dict[tuple, np.ndarray] = {}
-
-
-def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
-    """Full-register unitary of a gate.
-
-    Pauli rotations combine the cached dense string matrix with their
-    (continuously varying) angle; every other gate is built column-wise
-    through the statevector path and cached, so both simulators share one
-    gate semantics.
-    """
-    if gate.kind == "PAULI_ROT":
-        mat = _dense_operator(PauliSum(gate.string.n_qubits,
-                                       {gate.string: 1.0}), n_qubits)
-        half = gate.angle / 2.0
-        dim = 1 << n_qubits
-        return math.cos(half) * np.eye(dim) - 1j * math.sin(half) * mat
-    key = (n_qubits, gate.kind, gate.targets, gate.controls, gate.angle)
-    hit = _GATE_UNITARY_CACHE.get(key)
-    if hit is None:
-        dim = 1 << n_qubits
-        cols = np.zeros((dim, dim), dtype=complex)
-        for index in range(dim):
-            state = StateVector(n_qubits)
-            state.amplitudes[0] = 0.0
-            state.amplitudes[index] = 1.0
-            apply_gate(state, gate)
-            cols[:, index] = state.amplitudes
-        hit = cols
-        _GATE_UNITARY_CACHE[key] = hit
-    return hit
 
 
 def embed_kraus(kraus: Sequence[np.ndarray], qubit: int,
@@ -327,58 +337,50 @@ def channel_superoperator(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _apply_local_superop(rho: DensityMatrix, superop: np.ndarray,
-                         qubits: Sequence[int]):
-    """Apply a k-qubit channel superoperator on the named qubits.
+def _gather_plan(calib: CalibrationData, n: int,
+                 qubits: Tuple[int, ...]) -> np.ndarray:
+    """Indices of vec(rho) that line up a k-qubit channel's operands.
 
-    Works on the (2,)*2n tensor view of rho, so a one-qubit channel costs
-    one 4 x (4, 4^{n-1}) matmul rather than full-space Kraus conjugations.
+    Row j of the (4^k, 4^{n-k}) plan lists the flat positions whose row
+    bits on ``qubits``, then column bits on ``qubits``, spell j, so that
+    ``amps[plan] = superop @ amps[plan]`` applies the channel.
     """
-    n = rho.n_qubits
-    k = len(qubits)
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    axes = tuple(qubits) + tuple(n + q for q in qubits)
-    moved = np.moveaxis(tensor, axes, range(2 * k))
-    shape = moved.shape
-    flat = np.ascontiguousarray(moved).reshape(1 << (2 * k), -1)
-    flat = superop @ flat
-    restored = np.moveaxis(flat.reshape(shape), range(2 * k), axes)
-    rho.matrix = np.ascontiguousarray(restored).reshape(rho.matrix.shape)
-
-
-_CHANNEL_CACHE: Dict[tuple, List[Tuple[np.ndarray, Tuple[int, ...]]]] = {}
+    key = ("gather", n, qubits)
+    plan = calib._derived.get(key)
+    if plan is None:
+        axes = qubits + tuple(n + q for q in qubits)
+        order = np.arange(1 << (2 * n)).reshape((2,) * (2 * n))
+        order = np.moveaxis(order, axes, range(len(axes)))
+        plan = np.ascontiguousarray(order).reshape(1 << len(axes), -1)
+        calib._derived[key] = plan
+    return plan
 
 
 def _gate_noise_channels(gate: GateOp, calib: CalibrationData,
-                         n: int) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
-    """(superoperator, qubits) pairs for a gate's noise, cached per gate.
+                         n: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(superoperator, gather plan) pairs for a gate's noise.
 
     Per-operand depolarizing and relaxation compose into one 4x4
     superoperator; the two-qubit depolarizing channel is a 16x16 on the
     pair.  Identity channels are dropped.
     """
-    key = (id(calib), n, gate.kind, gate.targets, gate.controls,
-           None if gate.string is None else gate.string.items)
-    hit = _CHANNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    channels: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
+    channels: List[Tuple[np.ndarray, np.ndarray]] = []
 
-    def push(kraus: Sequence[np.ndarray], qubits: Tuple[int, ...]):
-        superop = channel_superoperator(kraus)
+    def push(superop: np.ndarray, qubits: Tuple[int, ...]):
         if not np.allclose(superop, np.eye(superop.shape[0]), atol=1e-15):
-            channels.append((superop, qubits))
+            channels.append((superop, _gather_plan(calib, n, qubits)))
 
     operands = sorted(set(gate.operands()))
     is_two_qubit = gate.kind in ("CNOT", "CONTROLLED") and len(operands) == 2
     if is_two_qubit:
         pair = calib.pair(operands[0], operands[1])
         if pair.err_cnot > 0.0:
-            push(two_qubit_depolarizing_kraus(pair.err_cnot), tuple(operands))
+            push(channel_superoperator(
+                two_qubit_depolarizing_kraus(pair.err_cnot)), tuple(operands))
         for q in operands:
             row = calib.qubit(q)
-            push(thermal_relaxation_kraus(pair.time_ns, row.t1_us, row.t2_us),
-                 (q,))
+            push(channel_superoperator(thermal_relaxation_kraus(
+                pair.time_ns, row.t1_us, row.t2_us)), (q,))
     else:
         for q in operands:
             row = calib.qubit(q)
@@ -388,20 +390,57 @@ def _gate_noise_channels(gate: GateOp, calib: CalibrationData,
             if row.err_1q > 0.0:
                 combined = combined @ channel_superoperator(
                     depolarizing_kraus(row.err_1q))
-            if not np.allclose(combined, np.eye(4), atol=1e-15):
-                channels.append((combined, (q,)))
-    _CHANNEL_CACHE[key] = channels
+            push(combined, (q,))
     return channels
+
+
+def _shift_to_columns(gate: GateOp, n: int) -> Tuple[GateOp, float]:
+    """The gate's conjugate on the column qubits, as (gate, angle sign).
+
+    The returned gate carries no angle; apply it with the row gate's angle
+    times the sign.  Real gates keep their angle; exp(-i phi/2 P) takes
+    -(-1)^{#Y} phi.
+    """
+    if gate.kind == "PAULI_ROT":
+        items = tuple((q + n, letter) for q, letter in gate.string.items)
+        n_y = sum(1 for _, letter in items if letter == "Y")
+        return (GateOp("PAULI_ROT", string=PauliString(2 * n, items)),
+                -1.0 if n_y % 2 == 0 else 1.0)
+    return (GateOp(gate.kind, targets=tuple(q + n for q in gate.targets),
+                   controls=tuple((q + n, v) for q, v in gate.controls)), 1.0)
+
+
+def _gate_plan(gate: GateOp, calib: CalibrationData, n: int
+               ) -> Tuple[GateOp, float, List[Tuple[np.ndarray, np.ndarray]]]:
+    """(column gate, angle sign, noise channels) of a gate on n qubits.
+
+    Keyed on everything but the angle, so one plan serves every angle a
+    rotation takes.
+    """
+    key = ("gate", n, gate.kind, gate.targets, gate.controls, gate.string)
+    plan = calib._derived.get(key)
+    if plan is None:
+        if gate.string is not None and gate.string.n_qubits > n:
+            raise DimensionMismatch("string larger than density matrix")
+        for q in gate.operands():
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range for n={n}")
+        column_gate, sign = _shift_to_columns(gate, n)
+        plan = (column_gate, sign, _gate_noise_channels(gate, calib, n))
+        calib._derived[key] = plan
+    return plan
 
 
 def apply_noisy_gate(rho: DensityMatrix, gate: GateOp,
                      calib: CalibrationData) -> DensityMatrix:
-    """Ideal unitary, then depolarizing, then relaxation on the operands."""
-    n = rho.n_qubits
-    unitary = gate_unitary(gate, n)
-    rho.matrix = unitary @ rho.matrix @ unitary.conj().T
-    for superop, qubits in _gate_noise_channels(gate, calib, n):
-        _apply_local_superop(rho, superop, qubits)
+    """Ideal gate, then depolarizing, then relaxation on the operands."""
+    column_gate, sign, channels = _gate_plan(gate, calib, rho.n_qubits)
+    apply_gate(rho.vec, gate)
+    apply_gate(rho.vec, column_gate,
+               None if gate.angle is None else sign * gate.angle)
+    amps = rho.vec.amplitudes
+    for superop, plan in channels:
+        amps[plan] = superop @ amps[plan]
     return rho
 
 
@@ -443,15 +482,18 @@ def noisy_ensemble_energy(h: PauliSum, circuit, prep, theta,
                           sampler: Optional[ShotSampler] = None) -> float:
     """Noisy-gate evolution of prep + ansatz, then per-term shot estimates.
 
+    The preparation does not depend on theta: its noisy state is evolved
+    once per calibration and program, and each call starts from a copy.
     Every non-identity Pauli term is sampled independently (no measurement
     grouping); the identity term contributes its coefficient exactly.
     """
-    from .ansatz import AnsatzCircuit  # local import to avoid cycles
-
     n = prep.n_qubits
-    rho = DensityMatrix(n)
-    for gate in prep.program:
-        apply_noisy_gate(rho, gate, calib)
+    key = ("prep", n, prep.program)
+    prepared = calib._derived.get(key)
+    if prepared is None:
+        prepared = evolve_noisy(prep.program, n, calib)
+        calib._derived[key] = prepared
+    rho = prepared.copy()
     theta = np.asarray(theta, dtype=float)
     for rot in circuit.rotations:
         angle = 2.0 * theta[rot.parameter_index] * rot.coefficient

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .pauli import (DimensionMismatch, PauliString, _I_POWERS, _sign_vector,
-                    _string_axes, pauli_action)
+                    _string_axes)
 
 GATE_NORM_TOL = 1e-12
 
@@ -227,9 +227,3 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2."""
     return float(abs(inner_product(a, b)) ** 2)
-
-
-def pauli_apply(state: StateVector, string: PauliString) -> StateVector:
-    """Fresh state P|psi> (not normalized checking; P is unitary anyway)."""
-    return StateVector(state.n_qubits,
-                       pauli_action(string, state.n_qubits, state.amplitudes))

@@ -121,6 +121,31 @@ class TestSweep:
         assert open(serial).read() == open(threaded).read()
 
 
+    def test_seed_reaches_every_point(self, tmp_path, monkeypatch):
+        import qpvqe.cli as cli
+
+        seen = []
+        real_optimize = cli.optimize
+
+        def spy(h, circuit, prep, config, *args, **kwargs):
+            seen.append(config.seed)
+            return real_optimize(h, circuit, prep, config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize", spy)
+        manifest = tmp_path / "mini.sweep"
+        manifest.write_text(
+            "sector: 2,0\nk: 4\nmax_iterations: 50\n"
+            f"point: a {H2}\n"
+            f"point: b {data_path('hamiltonians', 'h2_0.90.ham')}\n")
+        out = str(tmp_path / "out.csv")
+        assert run_cli(["sweep", "--manifest", str(manifest), "--seed", "13",
+                        "--out", out]) == 0
+        monkeypatch.setenv("QPVQE_SEED", "21")
+        assert run_cli(["sweep", "--manifest", str(manifest),
+                        "--out", out]) == 0
+        assert seen == [13, 13, 21, 21]
+
+
 class TestNoisyRun:
     def test_noisy_run_record_and_trace(self, tmp_path, capsys):
         record = tmp_path / "noisy.rec"

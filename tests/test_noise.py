@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+from qpvqe.ansatz import build_uccgsd
 from qpvqe.driver import SpsaConfig, ensemble_energy
+from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.noise import (CalibrationError, DensityMatrix, ShotSampler,
                          apply_kraus, apply_noisy_gate, channel_superoperator,
-                         depolarizing_kraus, embed_kraus, gate_unitary,
+                         depolarizing_kraus, embed_kraus,
                          load_calibration, noisy_ensemble_energy,
                          parse_calibration, spsa_optimize,
                          thermal_relaxation_kraus, totally_mixed_energy,
                          two_qubit_depolarizing_kraus, zero_noise_calibration)
-from qpvqe.pauli import PauliString, PauliSum
-from qpvqe.statevector import (GateOp, gate_cnot, gate_ry, gate_x)
+from qpvqe.pauli import DimensionMismatch, PauliString, PauliSum, to_matrix
+from qpvqe.statevector import (GateOp, gate_cnot, gate_controlled_ry,
+                               gate_controlled_x, gate_pauli_rot, gate_ry,
+                               gate_x)
 
 from conftest import data_path
+from oracles import gate_unitary
 
 CAL_PATH = data_path("calibration", "ibmq_manila.cal")
 
@@ -20,6 +25,65 @@ CAL_PATH = data_path("calibration", "ibmq_manila.cal")
 @pytest.fixture(scope="module")
 def manila():
     return load_calibration(CAL_PATH)
+
+
+def random_mixed_state(rng, n):
+    dim = 1 << n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = a @ a.conj().T
+    return m / np.trace(m)
+
+
+def oracle_noisy_gate(m, gate, calib, n):
+    """Dense U rho U^dag, then the calibrated channels as embedded Kraus."""
+    u = gate_unitary(gate, n)
+    m = u @ m @ u.conj().T
+
+    def channel(m, kraus):
+        return sum(k @ m @ k.conj().T for k in kraus)
+
+    operands = sorted(gate.operands())
+    if gate.kind in ("CNOT", "CONTROLLED") and len(operands) == 2:
+        a, b = operands
+        pair = calib.pair(a, b)
+        singles = [np.eye(2), np.array([[0, 1], [1, 0]]),
+                   np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        p = pair.err_cnot
+        kraus = []
+        for i in range(4):
+            for j in range(4):
+                weight = 1 - 15 * p / 16 if i == j == 0 else p / 16
+                kraus.append(np.sqrt(weight)
+                             * embed_kraus([singles[i]], a, n)[0]
+                             @ embed_kraus([singles[j]], b, n)[0])
+        m = channel(m, kraus)
+        for q in operands:
+            row = calib.qubit(q)
+            m = channel(m, embed_kraus(thermal_relaxation_kraus(
+                pair.time_ns, row.t1_us, row.t2_us), q, n))
+        return m
+    for q in operands:
+        row = calib.qubit(q)
+        m = channel(m, embed_kraus(depolarizing_kraus(row.err_1q), q, n))
+        m = channel(m, embed_kraus(thermal_relaxation_kraus(
+            calib.gate_time_1q_ns, row.t1_us, row.t2_us), q, n))
+    return m
+
+
+GATES_3Q = {
+    "x": gate_x(1),
+    "ry": gate_ry(2, 0.9),
+    "cnot": gate_cnot(2, 0),
+    "controlled-x-value-0": gate_controlled_x([(0, 0)], 2),
+    "controlled-ry-value-1": gate_controlled_ry([(1, 1)], 0, -1.3),
+    "controlled-ry-two-controls": gate_controlled_ry([(0, 0), (2, 1)], 1,
+                                                     0.7),
+    "rot-no-y": gate_pauli_rot(PauliString.from_word(3, "X0 Z2"), 0.8),
+    "rot-one-y": gate_pauli_rot(PauliString.from_word(3, "Y1 X2"), -1.1),
+    "rot-two-y": gate_pauli_rot(PauliString.from_word(3, "Y0 Z1 Y2"), 2.3),
+    "rot-two-y-narrow": gate_pauli_rot(PauliString.from_word(2, "Y0 Y1"),
+                                       0.4),
+}
 
 
 class TestCalibration:
@@ -109,6 +173,43 @@ class TestChannels:
             m = sum(k @ m @ k.conj().T for k in full)
         assert np.max(np.abs(rho.matrix - m)) < 1e-14
 
+    @pytest.mark.parametrize("name", sorted(GATES_3Q))
+    def test_noisy_gate_matches_dense_oracle(self, manila, name):
+        rng = np.random.default_rng(sorted(GATES_3Q).index(name))
+        n = 3
+        m = random_mixed_state(rng, n)
+        rho = DensityMatrix(n, m)
+        apply_noisy_gate(rho, GATES_3Q[name], manila)
+        expected = oracle_noisy_gate(m, GATES_3Q[name], manila, n)
+        assert np.max(np.abs(rho.matrix - expected)) < 1e-12
+
+    def test_gate_beyond_register_rejected(self, manila):
+        with pytest.raises(ValueError):
+            apply_noisy_gate(DensityMatrix(2), gate_x(2), manila)
+        with pytest.raises(DimensionMismatch):
+            apply_noisy_gate(DensityMatrix(2), gate_pauli_rot(
+                PauliString.from_word(3, "X0"), 0.3), manila)
+
+    def test_expectation_matches_dense_trace(self):
+        rng = np.random.default_rng(12)
+        n = 4
+        rho = DensityMatrix(n, random_mixed_state(rng, n))
+        for op_qubits in (4, 4, 2, 1):
+            terms = {PauliString(op_qubits): float(rng.normal())}
+            for _ in range(6):
+                qubits = rng.choice(op_qubits,
+                                    size=int(rng.integers(1, op_qubits + 1)),
+                                    replace=False)
+                string = PauliString.from_map(
+                    op_qubits, {int(q): "XYZ"[rng.integers(3)]
+                                for q in qubits})
+                terms[string] = terms.get(string, 0.0) + float(rng.normal())
+            op = PauliSum(op_qubits, terms)
+            dense = np.einsum("ij,ji->", to_matrix(op.embed(n)), rho.matrix)
+            assert rho.expectation(op) == pytest.approx(dense.real, abs=1e-12)
+        with pytest.raises(DimensionMismatch):
+            rho.expectation(PauliSum.identity(n + 1))
+
     def test_trace_preserved_over_1000_gates(self, manila):
         rho = DensityMatrix(3)
         program = [gate_ry(0, 0.3), gate_cnot(0, 1), gate_x(2),
@@ -135,6 +236,24 @@ class TestNoisyEnergy:
                                       zero_noise_calibration(), sampler=None)
         exact = ensemble_energy(p.h, p.circuit, p.prep, theta)
         assert noisy == pytest.approx(exact, abs=1e-12)
+
+    def test_fresh_calibrations_never_share_state(self, h2_problem):
+        # A noisy calibration freed before a zero-noise one is built can
+        # hand its memory, and so its id(), to the new object.
+        p = h2_problem
+        circuit = build_uccgsd(enumerate_sz_excitations(
+            2, effective=["d:0,1,2,3", "d:0,3,1,2"]))
+        theta = np.random.default_rng(5).uniform(-0.5, 0.5,
+                                                 circuit.parameter_count)
+        exact = ensemble_energy(p.h, circuit, p.prep, theta)
+        stale = 0
+        for _ in range(50):
+            noisy_ensemble_energy(p.h, circuit, p.prep, theta,
+                                  load_calibration(CAL_PATH))
+            value = noisy_ensemble_energy(p.h, circuit, p.prep, theta,
+                                          zero_noise_calibration())
+            stale += abs(value - exact) > 1e-12
+        assert stale == 0
 
     def test_totally_mixed_reference(self, h2_problem):
         h = h2_problem.h
