@@ -6,18 +6,25 @@ is compiled into rotations exp(-i theta_k c_s P_s) with real c_s =
 Trotter step is exact per generator.  String order within a generator is
 frozen lexicographically and generator order follows the input list,
 because Trotterized circuits are ordering-dependent.
+
+Rotations run through compiled ``StringPlan``s (see ``qpvqe.pauli``).  A
+circuit compiles its strings on first use for each register size it is
+applied to and keeps them in ``AnsatzCircuit.plans``; building a circuit
+compiles nothing.  The compiled routes are bit-identical to applying the
+strings one ``apply_pauli_exponential``/``pauli_action`` call at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .fermion import ExcitationGenerator
-from .pauli import (PauliString, PauliSum, pauli_action, paulisum_action)
+from .pauli import (PauliString, PauliSum, StringPlan, pauli_action,
+                    paulisum_action)
 from .statevector import StateVector, apply_pauli_exponential
 
 ROTATION_COEFF_TOL = 1e-12
@@ -30,6 +37,19 @@ class Rotation:
     parameter_index: int
 
 
+@dataclass(frozen=True, eq=False)
+class CircuitPlan:
+    """A circuit's rotations compiled for one register size."""
+
+    strings: Tuple[StringPlan, ...]      # one per rotation, shared by string
+    index: np.ndarray                    # parameter index of each rotation
+    coefficient: np.ndarray              # coefficient of each rotation
+
+    def angles(self, theta: np.ndarray) -> List[float]:
+        """Rotation angles 2 * theta_k * c in circuit order."""
+        return (2.0 * theta[self.index] * self.coefficient).tolist()
+
+
 @dataclass(frozen=True)
 class AnsatzCircuit:
     """Ordered Pauli rotations on working qubits only."""
@@ -37,6 +57,9 @@ class AnsatzCircuit:
     n_working_qubits: int
     rotations: Tuple[Rotation, ...]
     parameter_count: int
+    # CircuitPlans by register size, built on first use by ``plans``.
+    _plans: Dict[int, CircuitPlan] = field(default_factory=dict, init=False,
+                                           compare=False, repr=False)
 
     def __post_init__(self):
         for rot in self.rotations:
@@ -44,6 +67,26 @@ class AnsatzCircuit:
                 raise ValueError("rotation parameter index out of range")
             if rot.string.n_qubits != self.n_working_qubits:
                 raise ValueError("rotation string register mismatch")
+
+    def plans(self, n_qubits: int) -> CircuitPlan:
+        """The rotations compiled for a ``n_qubits`` register (working
+        qubits first, identity on the rest)."""
+        compiled = self._plans.get(n_qubits)
+        if compiled is None:
+            if n_qubits < self.n_working_qubits:
+                raise ValueError("state register smaller than the ansatz")
+            by_string: Dict[PauliString, StringPlan] = {}
+            for rot in self.rotations:
+                if rot.string not in by_string:
+                    by_string[rot.string] = StringPlan(rot.string, n_qubits)
+            compiled = CircuitPlan(
+                tuple(by_string[rot.string] for rot in self.rotations),
+                np.array([rot.parameter_index for rot in self.rotations],
+                         dtype=np.intp),
+                np.array([rot.coefficient for rot in self.rotations],
+                         dtype=float))
+            self._plans[n_qubits] = compiled
+        return compiled
 
 
 def parameter_vector(values: Sequence[float]) -> np.ndarray:
@@ -74,19 +117,30 @@ def build_uccgsd(generators: Sequence[ExcitationGenerator]) -> AnsatzCircuit:
     return AnsatzCircuit(n_working, tuple(rotations), n_params)
 
 
-def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],
-                 state: StateVector) -> StateVector:
-    """Apply U(theta) (x) 1 in place; ancilla qubits are never touched."""
+def _checked_theta(circuit: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:
     theta = parameter_vector(theta)
     if theta.size != circuit.parameter_count:
         raise ValueError(
             f"expected {circuit.parameter_count} parameters, got {theta.size}")
-    if state.n_qubits < circuit.n_working_qubits:
-        raise ValueError("state register smaller than the ansatz")
-    for rot in circuit.rotations:
-        angle = 2.0 * theta[rot.parameter_index] * rot.coefficient
+    return theta
+
+
+def _evolve(strings: Sequence[StringPlan], angles: Sequence[float],
+            tensor: np.ndarray) -> np.ndarray:
+    """Rotations in order on a fresh array; zero angles are skipped."""
+    for plan, angle in zip(strings, angles):
         if angle != 0.0:
-            apply_pauli_exponential(state, rot.string, angle)
+            tensor = plan.rotate(tensor, angle)
+    return tensor
+
+
+def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],
+                 state: StateVector) -> StateVector:
+    """Apply U(theta) (x) 1 in place; ancilla qubits are never touched."""
+    theta = _checked_theta(circuit, theta)
+    compiled = circuit.plans(state.n_qubits)
+    state.amplitudes = _evolve(compiled.strings, compiled.angles(theta),
+                               state.tensor()).reshape(-1)
     return state
 
 
@@ -139,29 +193,31 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     shifted expectations algebraically (equal by the rotation identity
     U(phi +- pi/2) = U(phi) exp(-+ i pi/4 P)), which costs O(R) instead of
     O(R^2) circuit executions; tests pin equality against literal shifted
-    executions and finite differences.
+    executions and finite differences.  The sweep un-rotates psi and
+    lambda = H|psi> stacked in one (2, 2, ..., 2) array, one pass per
+    rotation for both.
     """
-    theta = parameter_vector(theta)
-    if theta.size != circuit.parameter_count:
-        raise ValueError("parameter count mismatch")
+    theta = _checked_theta(circuit, theta)
     n = initial.n_qubits
-    psi = initial.copy()
-    apply_ansatz(circuit, theta, psi)
-    lam = paulisum_action(h, n, psi.amplitudes)
-    energy = float(np.vdot(psi.amplitudes, lam).real)
-    grad = np.zeros(circuit.parameter_count)
-    lam_state = StateVector(n, lam)  # raw H|psi>, deliberately unnormalized
-    for rot in reversed(circuit.rotations):
-        angle = 2.0 * theta[rot.parameter_index] * rot.coefficient
+    compiled = circuit.plans(n)
+    strings, angles = compiled.strings, compiled.angles(theta)
+    psi = _evolve(strings, angles, initial.tensor())
+    lam = paulisum_action(h, n, psi.reshape(-1))
+    energy = float(np.vdot(psi, lam).real)
+    grad = [0.0] * circuit.parameter_count
+    index = compiled.index.tolist()
+    coefficient = compiled.coefficient.tolist()
+    # psi over the raw H|psi>, deliberately unnormalized
+    pair = np.stack((psi, lam.reshape(psi.shape)))
+    for r in range(len(strings) - 1, -1, -1):
+        plan, angle = strings[r], angles[r]
         if angle != 0.0:
-            apply_pauli_exponential(psi, rot.string, -angle)
-            apply_pauli_exponential(lam_state, rot.string, -angle)
+            pair = plan.rotate(pair, -angle)
         # d<H>/dphi_r = Im <lambda_r|P_r|psi_r>; undoing rotation r first
         # changes nothing because U_r commutes with its own string.
-        p_psi = pauli_action(rot.string, n, psi.amplitudes)
-        grad[rot.parameter_index] += 2.0 * rot.coefficient * float(
-            np.vdot(lam_state.amplitudes, p_psi).imag)
-    return energy, grad
+        grad[index[r]] += 2.0 * coefficient[r] * float(
+            np.vdot(pair[1], plan.act(pair[0])).imag)
+    return energy, np.array(grad)
 
 
 def gradient(circuit: AnsatzCircuit, theta: Sequence[float], h: PauliSum,

@@ -14,10 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import (PauliString, PauliSum, basis_phase, paulisum_action,
-                    to_matrix)
+from .pauli import (PauliString, PauliSum, basis_phase, check_dense_bytes,
+                    paulisum_action, to_matrix)
 
-ED_QUBIT_GUARD = 14
 DEGENERACY_TOL = 1e-6
 
 
@@ -134,19 +133,25 @@ class EDReference:
 
 def exact_diagonalize(h: PauliSum, sector: Optional[Tuple[int, float]] = None,
                       k: Optional[int] = None) -> EDReference:
-    """Dense Hermitian eigensolve, restricted to a (N, S_z) sector if given."""
-    if h.n_qubits > ED_QUBIT_GUARD:
-        raise ValueError(f"n={h.n_qubits} above ED guard {ED_QUBIT_GUARD}")
+    """Dense Hermitian eigensolve, restricted to a (N, S_z) sector if given.
+
+    Every dense array it builds is checked against ``DENSE_BYTES_GUARD``
+    before allocation: the full or sector matrix, and a sector's
+    eigenvectors embedded in the full register.
+    """
     dim = 1 << h.n_qubits
     if sector is None:
         matrix = to_matrix(h)
         energies, vectors = np.linalg.eigh(matrix)
         basis = None
     else:
+        check_dense_bytes(dim, 1)  # before scanning all 2^n basis states
         n_particles, sz = sector
         basis = sector_indices(h.n_qubits, n_particles, sz)
         if not basis:
             raise ValueError(f"empty sector {sector}")
+        check_dense_bytes(len(basis), len(basis))
+        check_dense_bytes(dim, len(basis) if k is None else k)
         pos = {b: i for i, b in enumerate(basis)}
         matrix = np.zeros((len(basis), len(basis)), dtype=complex)
         for string, coeff in h.items():

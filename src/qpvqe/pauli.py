@@ -8,10 +8,16 @@ four qubits).
 
 Phases arising from string products are tracked exactly as powers of i
 (a 2-bit counter), never as floating point.
+
+Strings act on amplitude tensors through ``StringPlan``s, compiled once
+per register size and kept on the owning ``PauliSum`` (``plans``) or
+ansatz circuit.  Plans are bit-identical to the uncompiled string route;
+the comment above ``StringPlan`` says why that matters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -21,7 +27,9 @@ COEFF_PRUNE_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-10
 NORM_TOL = 1e-9
-MATRIX_QUBIT_GUARD = 14
+# Largest dense complex matrix to_matrix and the ED oracle will build:
+# 256 MiB, a full matrix up to 12 qubits.
+DENSE_BYTES_GUARD = 1 << 28
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -173,7 +181,7 @@ class PauliSum:
     ``COEFF_PRUNE_TOL``) are dropped during simplification.
     """
 
-    __slots__ = ("n_qubits", "_terms")
+    __slots__ = ("n_qubits", "_terms", "_plans")
 
     def __init__(self, n_qubits: int,
                  terms: Mapping[PauliString, complex] | None = None):
@@ -193,6 +201,9 @@ class PauliSum:
                 else:
                     collected[string] = c
         self._terms = collected
+        # (coefficient, StringPlan) pairs in term order, per register
+        # size, built on first use by ``plans``.
+        self._plans: Dict[int, Tuple[Tuple[complex, "StringPlan"], ...]] = {}
 
     @classmethod
     def from_terms(cls, n_qubits: int,
@@ -211,6 +222,15 @@ class PauliSum:
 
     def items(self):
         return self._terms.items()
+
+    def plans(self, n_qubits: int) -> Tuple[Tuple[complex, "StringPlan"], ...]:
+        """The terms compiled for a ``n_qubits`` register, in term order."""
+        compiled = self._plans.get(n_qubits)
+        if compiled is None:
+            compiled = tuple((coeff, StringPlan(string, n_qubits))
+                             for string, coeff in self._terms.items())
+            self._plans[n_qubits] = compiled
+        return compiled
 
     def coefficient(self, string: PauliString) -> complex:
         return self._terms.get(string, 0.0)
@@ -285,21 +305,30 @@ def add_simplify(a: PauliSum, b: PauliSum) -> PauliSum:
 # P|j (+) m> picks up (-i)^{#Y} * prod_{q in Y u Z} (-1)^{j_q}, where m is
 # the X/Y bit mask.  Flipping a size-2 tensor axis is a numpy view, so one
 # string application costs two elementwise passes over 2^n amplitudes.
+#
+# Each string is compiled once per register size into a StringPlan: the
+# slice tuple np.flip would build, the cached +-1 sign tensor and the
+# scalar (-i)^{#Y}.  Plans live on the objects they derive from
+# (``PauliSum.plans``, ``AnsatzCircuit.plans``), never in a module cache
+# keyed by object identity.  A plan runs exactly the elementwise operations
+# of the uncompiled route, in the same order and on the same dtypes, so its
+# results are bit-identical to it (up to the sign of an exact zero).  That
+# contract matters: in symmetry-forbidden directions the gradient is pure
+# roundoff, Adam turns it into ~1e-10 steps, and any change of roundoff
+# moves a stored run's theta record.
 # ---------------------------------------------------------------------------
 
 _SIGN_CACHE: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
 
 
 def _sign_vector(n_qubits: int, axes: Tuple[int, ...]) -> np.ndarray:
+    """int8 tensor of prod_{q in axes} (-1)^{j_q}; +-1 is exact in any dtype."""
     key = (n_qubits, axes)
     vec = _SIGN_CACHE.get(key)
     if vec is None:
-        vec = np.ones(1, dtype=np.float64)
-        minus = np.array([1.0, -1.0])
-        plus = np.array([1.0, 1.0])
-        for q in range(n_qubits):
-            vec = np.kron(vec, minus if q in axes else plus)
-        vec = vec.reshape((2,) * n_qubits)
+        vec = np.ones((2,) * n_qubits, dtype=np.int8)
+        for q in axes:
+            vec[(slice(None),) * q + (slice(1, 2),)] *= -1
         _SIGN_CACHE[key] = vec
     return vec
 
@@ -311,6 +340,53 @@ def _string_axes(string: PauliString) -> Tuple[Tuple[int, ...], Tuple[int, ...],
     return xy, zy, n_y
 
 
+_KEEP = slice(None)
+_REVERSE = slice(None, None, -1)
+
+
+class StringPlan:
+    """One Pauli string compiled for a register of ``n_qubits``.
+
+    Both methods take a (2,)*n tensor, or a stack of them with extra
+    leading axes, and return a fresh C-contiguous array of the same shape.
+    Qubits beyond the string's own register act as identity.
+    """
+
+    __slots__ = ("flip", "signs", "scalar")
+
+    def __init__(self, string: PauliString, n_qubits: int):
+        if string.n_qubits > n_qubits:
+            raise DimensionMismatch("string larger than state register")
+        xy, zy, n_y = _string_axes(string)
+        # np.flip(tensor, xy) is tensor[flip]; the leading Ellipsis lets the
+        # same tuple address the last n axes of a stacked array.
+        self.flip = ((Ellipsis,) + tuple(_REVERSE if q in xy else _KEEP
+                                         for q in range(n_qubits))
+                     if xy else None)
+        self.signs = _sign_vector(n_qubits, zy) if zy else None
+        self.scalar = _I_POWERS[(-n_y) & 3]  # (-i)^{#Y}
+
+    def act(self, tensor: np.ndarray) -> np.ndarray:
+        """P|psi>."""
+        flipped = tensor[self.flip] if self.flip is not None else tensor
+        scalar = self.scalar
+        if self.signs is not None:
+            out = self.signs * flipped
+            if scalar != 1.0:
+                out = out * scalar
+            return out
+        return flipped * scalar if scalar != 1.0 else flipped.copy()
+
+    def rotate(self, tensor: np.ndarray, angle: float) -> np.ndarray:
+        """exp(-i angle/2 * P)|psi> = cos(angle/2)|psi> - i sin(angle/2) P|psi>."""
+        flipped = tensor[self.flip] if self.flip is not None else tensor
+        c = math.cos(angle / 2.0)
+        k = -1j * math.sin(angle / 2.0) * self.scalar
+        if self.signs is not None:
+            return c * tensor + k * (self.signs * flipped)
+        return c * tensor + k * flipped
+
+
 def pauli_action(string: PauliString, n_qubits: int,
                  amps: np.ndarray) -> np.ndarray:
     """Return P|psi> for flat amplitudes of a 2^n state.
@@ -318,27 +394,17 @@ def pauli_action(string: PauliString, n_qubits: int,
     The string may address fewer qubits than the state; unlisted qubits act
     as identity (this realizes H (x) 1 on purified registers).
     """
-    if string.n_qubits > n_qubits:
-        raise DimensionMismatch("string larger than state register")
-    xy, zy, n_y = _string_axes(string)
-    tensor = amps.reshape((2,) * n_qubits)
-    flipped = np.flip(tensor, axis=xy) if xy else tensor
-    scalar = _I_POWERS[(-n_y) & 3]  # (-i)^{#Y}
-    if zy:
-        out = _sign_vector(n_qubits, zy) * flipped
-        if scalar != 1.0:
-            out = out * scalar
-    else:
-        out = flipped * scalar if scalar != 1.0 else flipped.copy()
-    return np.ascontiguousarray(out).reshape(-1)
+    plan = StringPlan(string, n_qubits)
+    return plan.act(amps.reshape((2,) * n_qubits)).reshape(-1)
 
 
 def paulisum_action(h: PauliSum, n_qubits: int, amps: np.ndarray) -> np.ndarray:
     """Return H|psi> as a fresh flat array."""
-    out = np.zeros_like(amps)
-    for string, coeff in h.items():
-        out += coeff * pauli_action(string, n_qubits, amps)
-    return out
+    tensor = amps.reshape((2,) * n_qubits)
+    out = np.zeros_like(tensor)
+    for coeff, plan in h.plans(n_qubits):
+        out += coeff * plan.act(tensor)
+    return out.reshape(-1)
 
 
 def expectation(h: PauliSum, psi) -> float:
@@ -357,9 +423,10 @@ def expectation(h: PauliSum, psi) -> float:
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    tensor = amps.reshape((2,) * psi.n_qubits)
     value = 0.0 + 0.0j
-    for string, coeff in h.items():
-        value += coeff * np.vdot(amps, pauli_action(string, psi.n_qubits, amps))
+    for coeff, plan in h.plans(psi.n_qubits):
+        value += coeff * np.vdot(amps, plan.act(tensor))
     if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise ValueError(f"imaginary residue {value.imag:.3e} above tolerance")
     return float(value.real)
@@ -382,12 +449,18 @@ def basis_phase(string: PauliString, index: int, n_qubits: int) -> Tuple[complex
     return _I_POWERS[ipow], target
 
 
+def check_dense_bytes(rows: int, cols: int) -> None:
+    """Raise before a rows x cols complex array above DENSE_BYTES_GUARD."""
+    nbytes = rows * cols * np.dtype(complex).itemsize
+    if nbytes > DENSE_BYTES_GUARD:
+        raise ValueError(f"dense {rows}x{cols} complex array needs {nbytes} "
+                         f"bytes > guard {DENSE_BYTES_GUARD}")
+
+
 def to_matrix(h: PauliSum) -> np.ndarray:
     """Dense 2^n x 2^n matrix with qubit 0 as the most significant bit."""
-    if h.n_qubits > MATRIX_QUBIT_GUARD:
-        raise ValueError(
-            f"dense matrix requested for n={h.n_qubits} > guard {MATRIX_QUBIT_GUARD}")
     dim = 1 << h.n_qubits
+    check_dense_bytes(dim, dim)
     out = np.zeros((dim, dim), dtype=complex)
     for string, coeff in h.items():
         block = np.ones((1, 1), dtype=complex)

@@ -15,8 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import (DimensionMismatch, PauliString, _I_POWERS, _sign_vector,
-                    _string_axes)
+from .pauli import DimensionMismatch, PauliString, StringPlan
 
 GATE_NORM_TOL = 1e-12
 
@@ -192,22 +191,14 @@ def apply_pauli_exponential(state: StateVector, string: PauliString,
     """Apply exp(-i angle/2 * P) in place.
 
     Equals cos(angle/2) 1 - i sin(angle/2) P on the amplitudes; the string
-    addresses qubits of the state directly and must be nontrivial.
+    addresses qubits of the state directly and must be nontrivial.  This
+    compiles a throwaway ``StringPlan``; repeated rotations should keep
+    their plans (see ``AnsatzCircuit.plans``).
     """
     if string is None or string.is_identity:
         raise ValueError("pauli exponential requires a nontrivial string")
-    if string.n_qubits > state.n_qubits:
-        raise DimensionMismatch("string larger than state register")
-    xy, zy, n_y = _string_axes(string)
-    tensor = state.tensor()
-    flipped = np.flip(tensor, axis=xy) if xy else tensor
-    c = math.cos(angle / 2.0)
-    k = -1j * math.sin(angle / 2.0) * _I_POWERS[(-n_y) & 3]
-    if zy:
-        out = c * tensor + k * (_sign_vector(state.n_qubits, zy) * flipped)
-    else:
-        out = c * tensor + k * flipped
-    state.amplitudes = np.ascontiguousarray(out).reshape(-1)
+    plan = StringPlan(string, state.n_qubits)
+    state.amplitudes = plan.rotate(state.tensor(), angle).reshape(-1)
     return state
 
 
