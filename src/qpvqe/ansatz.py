@@ -16,14 +16,13 @@ strings one ``apply_pauli_exponential``/``pauli_action`` call at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .fermion import ExcitationGenerator
-from .pauli import (PauliString, PauliSum, StringPlan, pauli_action,
+from .pauli import (PauliString, PauliSum, StringPlan, expectation,
                     paulisum_action)
 from .statevector import StateVector, apply_pauli_exponential
 
@@ -171,14 +170,7 @@ def expectation_objective(circuit: AnsatzCircuit, h: PauliSum,
                           initial: StateVector) -> Callable[[np.ndarray], float]:
     """theta -> <init| U^dag (H (x) 1) U |init> as a plain callable."""
     def objective(theta: np.ndarray) -> float:
-        state = initial.copy()
-        apply_ansatz(circuit, theta, state)
-        value = 0.0 + 0.0j
-        for string, coeff in h.items():
-            value += coeff * np.vdot(state.amplitudes,
-                                     pauli_action(string, state.n_qubits,
-                                                  state.amplitudes))
-        return float(value.real)
+        return expectation(h, apply_ansatz(circuit, theta, initial.copy()))
     return objective
 
 
@@ -221,43 +213,10 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
 
 
 def gradient(circuit: AnsatzCircuit, theta: Sequence[float], h: PauliSum,
-             initial: StateVector, method: str = "sweep") -> np.ndarray:
+             initial: StateVector) -> np.ndarray:
     """Exact analytic gradient of the expectation objective.
 
-    ``sweep`` evaluates the parameter-shift values in one backward pass;
-    ``shifted`` runs the literal two shifted circuit executions per
-    rotation (O(R^2), used as the oracle route in tests).
+    The parameter-shift values come from ``value_and_gradient``'s single
+    backward sweep; tests check it against literal shifted executions.
     """
-    theta = parameter_vector(theta)
-    if method == "sweep":
-        return value_and_gradient(circuit, theta, h, initial)[1]
-    if method != "shifted":
-        raise ValueError(f"unknown gradient method {method!r}")
-    objective = expectation_objective(circuit, h, initial)
-    grad = np.zeros(circuit.parameter_count)
-    for r, rot in enumerate(circuit.rotations):
-        if rot.coefficient == 0.0:
-            continue
-        plus = _shifted_value(circuit, theta, r, math.pi / 2, objective, h, initial)
-        minus = _shifted_value(circuit, theta, r, -math.pi / 2, objective, h, initial)
-        grad[rot.parameter_index] += 2.0 * rot.coefficient * (plus - minus) / 2.0
-    return grad
-
-
-def _shifted_value(circuit: AnsatzCircuit, theta: np.ndarray, which: int,
-                   shift: float, objective, h: PauliSum,
-                   initial: StateVector) -> float:
-    """Full expectation with rotation ``which`` shifted in its own angle."""
-    state = initial.copy()
-    for r, rot in enumerate(circuit.rotations):
-        angle = 2.0 * theta[rot.parameter_index] * rot.coefficient
-        if r == which:
-            angle += shift
-        if angle != 0.0:
-            apply_pauli_exponential(state, rot.string, angle)
-    value = 0.0 + 0.0j
-    for string, coeff in h.items():
-        value += coeff * np.vdot(state.amplitudes,
-                                 pauli_action(string, state.n_qubits,
-                                              state.amplitudes))
-    return float(value.real)
+    return value_and_gradient(circuit, theta, h, initial)[1]

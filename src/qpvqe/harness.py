@@ -5,6 +5,10 @@ following term line is ``<float> <word>`` where the word is
 whitespace-separated factors like ``X0 Z3 Y5`` or the literal ``I``.
 ``#`` starts a comment, blank lines are ignored, duplicate words collect.
 Serialization uses ``%.17g`` so a parse/serialize round trip is exact.
+
+The ED oracle diagonalizes ``pauli.to_matrix``: the full matrix, or the
+block on a (N, S_z) sector's basis states, both scattered from the
+Hamiltonian's compiled string plans.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import (PauliString, PauliSum, basis_phase, check_dense_bytes,
-                    paulisum_action, to_matrix)
+from .pauli import (PauliString, PauliSum, check_dense_bytes, paulisum_action,
+                    to_matrix)
 
 DEGENERACY_TOL = 1e-6
 
@@ -95,19 +99,6 @@ def sector_indices(n_qubits: int, n_particles: int, sz: float) -> List[int]:
             and abs(sz_value(i, n_qubits) - sz) < 1e-9]
 
 
-def diagonal_element(h: PauliSum, index: int) -> float:
-    """<b|H|b> for a basis state; only Z/identity strings contribute."""
-    val = 0.0
-    for string, coeff in h.items():
-        if any(letter in ("X", "Y") for _, letter in string.items):
-            continue
-        parity = 0
-        for q, _ in string.items:
-            parity ^= (index >> (h.n_qubits - 1 - q)) & 1
-        val += coeff.real * (-1.0 if parity else 1.0)
-    return val
-
-
 @dataclass
 class EDReference:
     """Lowest-K exact eigenpairs, optionally sector-restricted."""
@@ -136,39 +127,26 @@ def exact_diagonalize(h: PauliSum, sector: Optional[Tuple[int, float]] = None,
     """Dense Hermitian eigensolve, restricted to a (N, S_z) sector if given.
 
     Every dense array it builds is checked against ``DENSE_BYTES_GUARD``
-    before allocation: the full or sector matrix, and a sector's
-    eigenvectors embedded in the full register.
+    before allocation: the full or sector matrix (inside ``to_matrix``),
+    and a sector's eigenvectors embedded in the full register.
     """
     dim = 1 << h.n_qubits
-    if sector is None:
-        matrix = to_matrix(h)
-        energies, vectors = np.linalg.eigh(matrix)
-        basis = None
-    else:
+    basis = None
+    if sector is not None:
         check_dense_bytes(dim, 1)  # before scanning all 2^n basis states
         n_particles, sz = sector
         basis = sector_indices(h.n_qubits, n_particles, sz)
         if not basis:
             raise ValueError(f"empty sector {sector}")
-        check_dense_bytes(len(basis), len(basis))
         check_dense_bytes(dim, len(basis) if k is None else k)
-        pos = {b: i for i, b in enumerate(basis)}
-        matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-        for string, coeff in h.items():
-            for b in basis:
-                phase, target = basis_phase(string, b, h.n_qubits)
-                row = pos.get(target)
-                if row is not None:
-                    matrix[row, pos[b]] += coeff * phase
-        energies, vectors = np.linalg.eigh(matrix)
+    energies, vectors = np.linalg.eigh(to_matrix(h, basis))
     if k is not None:
         if k > len(energies):
             raise ValueError(f"k={k} exceeds sector dimension {len(energies)}")
         energies, vectors = energies[:k], vectors[:, :k]
     if basis is not None:
         embedded = np.zeros((dim, vectors.shape[1]), dtype=complex)
-        for i, b in enumerate(basis):
-            embedded[b, :] = vectors[i, :]
+        embedded[basis] = vectors
         vectors = embedded
     return EDReference(sector, np.real(energies), vectors, h.n_qubits)
 

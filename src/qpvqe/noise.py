@@ -20,8 +20,9 @@ repeats with angle -(-1)^{#Y} phi, because conj P = (-1)^{#Y} P.  A gate
 costs O(4^n) and no 2^n x 2^n operator is ever built.  Each calibrated
 channel is a 4x4 (one qubit) or 16x16 (pair) superoperator applied as one
 gather -> matmul -> scatter over an index plan of its row and column
-qubits, and Pauli expectations are gathers Tr(P rho) = sum_j phase(j)
-rho[j, j ^ m] along the flipped diagonal.
+qubits.  Pauli expectations read the strings' compiled ``StringPlan``s:
+Tr(P rho) is a gather of rho[j, j ^ m] along the diagonal flipped by the
+plan's mask m, weighted by its signs and conjugate scalar.
 
 Everything derived from a calibration lives on that calibration object
 and is filled on first use: channel superoperators per gate, gather plans
@@ -44,8 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import (_I_POWERS, DimensionMismatch, PauliString, PauliSum,
-                    _sign_vector, _string_axes)
+from .pauli import DimensionMismatch, PauliString, PauliSum, StringPlan
 from .statevector import GateOp, StateVector, apply_gate
 
 TRACE_TOL = 1e-10
@@ -235,25 +235,27 @@ class DensityMatrix:
             raise ValueError("density matrix lost positivity")
 
     def expectation(self, op: PauliSum) -> float:
-        """Re Tr(op rho); op may act on fewer qubits (identity on the rest).
-
-        P|j> = phase(j) |j ^ m>, so Tr(P rho) = sum_j phase(j) rho[j, j ^ m]:
-        one gather of 2^n entries per term.
-        """
-        n = self.n_qubits
-        if op.n_qubits > n:
+        """Re Tr(op rho); op may act on fewer qubits (identity on the rest)."""
+        if op.n_qubits > self.n_qubits:
             raise DimensionMismatch("operator larger than density matrix")
-        dim = 1 << n
-        rows = np.arange(dim)
-        flat = self.vec.amplitudes
         value = 0.0 + 0.0j
-        for string, coeff in op.items():
-            xy, zy, n_y = _string_axes(string)
-            mask = sum(1 << (n - 1 - q) for q in xy)
-            signs = _sign_vector(n, zy).reshape(-1)
-            value += coeff * _I_POWERS[n_y & 3] * np.dot(
-                signs, flat[rows * dim + (rows ^ mask)])
+        for coeff, plan in op.plans(self.n_qubits):
+            value += coeff * self.pauli_trace(plan)
         return float(value.real)
+
+    def pauli_trace(self, plan: StringPlan) -> complex:
+        """Tr(P rho) for a string compiled for this register.
+
+        P[j ^ m, j] = scalar * sign[j ^ m] = conj(scalar) * sign[j], so
+        Tr(P rho) = conj(scalar) * sum_j sign[j] rho[j, j ^ m]: one gather
+        of 2^n entries.
+        """
+        dim = 1 << self.n_qubits
+        rows = np.arange(dim)
+        signs = (np.ones(dim, dtype=np.int8) if plan.signs is None
+                 else plan.signs.reshape(-1))
+        return np.conj(plan.scalar) * np.dot(
+            signs, self.vec.amplitudes[rows * dim + (rows ^ plan.mask)])
 
 
 def embed_kraus(kraus: Sequence[np.ndarray], qubit: int,
@@ -486,6 +488,8 @@ def noisy_ensemble_energy(h: PauliSum, circuit, prep, theta,
     once per calibration and program, and each call starts from a copy.
     Every non-identity Pauli term is sampled independently (no measurement
     grouping); the identity term contributes its coefficient exactly.
+    Per-term traces read the plans ``h.plans(n)`` compiled once per
+    Hamiltonian.
     """
     n = prep.n_qubits
     key = ("prep", n, prep.program)
@@ -501,11 +505,11 @@ def noisy_ensemble_energy(h: PauliSum, circuit, prep, theta,
             apply_noisy_gate(rho, GateOp("PAULI_ROT", string=rot.string,
                                          angle=angle), calib)
     total = 0.0
-    for string, coeff in h.items():
-        if string.is_identity:
+    for coeff, plan in h.plans(n):
+        if plan.flip is None and plan.signs is None:  # the identity string
             total += coeff.real
             continue
-        exact_value = rho.expectation(PauliSum(n, {string.embed(n): 1.0}))
+        exact_value = float(rho.pauli_trace(plan).real)
         total += coeff.real * (sampler.sample(exact_value)
                                if sampler is not None else exact_value)
     return total

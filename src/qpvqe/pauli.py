@@ -9,17 +9,22 @@ four qubits).
 Phases arising from string products are tracked exactly as powers of i
 (a 2-bit counter), never as floating point.
 
-Strings act on amplitude tensors through ``StringPlan``s, compiled once
-per register size and kept on the owning ``PauliSum`` (``plans``) or
-ansatz circuit.  Plans are bit-identical to the uncompiled string route;
-the comment above ``StringPlan`` says why that matters.
+A string maps |j> to a phase times |j ^ m>, m its X/Y bit mask.  The
+``StringPlan`` compiled from it once per register size, and kept on the
+owning ``PauliSum`` (``plans``) or ansatz circuit, is the only place any
+module reads that action.  Its flip, sign tensor, scalar and mask serve
+four readers: P|psi> and exp(-i phi/2 P)|psi> on amplitude tensors, the
+dense and sector matrices of ``to_matrix`` (the ED oracle and the
+reference diagonal <D|H|D>), and Tr(P rho) on density matrices.  Plans
+are bit-identical to the uncompiled string route; the comment above
+``StringPlan`` says why that matters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,13 +49,6 @@ _PRODUCT_TABLE = {
     ("Y", "X"): (3, "Z"),
     ("Z", "Y"): (3, "X"),
     ("X", "Z"): (3, "Y"),
-}
-
-_SINGLE_QUBIT_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 
 
@@ -110,12 +108,6 @@ class PauliString:
     @property
     def weight(self) -> int:
         return len(self.items)
-
-    def letter(self, qubit: int) -> str:
-        for q, letter in self.items:
-            if q == qubit:
-                return letter
-        return "I"
 
     def support(self) -> Tuple[int, ...]:
         return tuple(q for q, _ in self.items)
@@ -307,15 +299,16 @@ def add_simplify(a: PauliSum, b: PauliSum) -> PauliSum:
 # string application costs two elementwise passes over 2^n amplitudes.
 #
 # Each string is compiled once per register size into a StringPlan: the
-# slice tuple np.flip would build, the cached +-1 sign tensor and the
-# scalar (-i)^{#Y}.  Plans live on the objects they derive from
-# (``PauliSum.plans``, ``AnsatzCircuit.plans``), never in a module cache
-# keyed by object identity.  A plan runs exactly the elementwise operations
-# of the uncompiled route, in the same order and on the same dtypes, so its
-# results are bit-identical to it (up to the sign of an exact zero).  That
-# contract matters: in symmetry-forbidden directions the gradient is pure
-# roundoff, Adam turns it into ~1e-10 steps, and any change of roundoff
-# moves a stored run's theta record.
+# slice tuple np.flip would build, the cached +-1 sign tensor, the scalar
+# (-i)^{#Y} and the integer mask m (qubit 0 is its most significant bit),
+# so that P|j> = scalar * sign[j ^ m] * |j ^ m>.  Plans live on the objects
+# they derive from (``PauliSum.plans``, ``AnsatzCircuit.plans``), never in
+# a module cache keyed by object identity.  A plan runs exactly the
+# elementwise operations of the uncompiled route, in the same order and on
+# the same dtypes, so its results are bit-identical to it (up to the sign
+# of an exact zero).  That contract matters: in symmetry-forbidden
+# directions the gradient is pure roundoff, Adam turns it into ~1e-10
+# steps, and any change of roundoff moves a stored run's theta record.
 # ---------------------------------------------------------------------------
 
 _SIGN_CACHE: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
@@ -349,10 +342,11 @@ class StringPlan:
 
     Both methods take a (2,)*n tensor, or a stack of them with extra
     leading axes, and return a fresh C-contiguous array of the same shape.
-    Qubits beyond the string's own register act as identity.
+    Qubits beyond the string's own register act as identity.  ``mask`` is
+    the X/Y bit mask on the n-qubit register, qubit 0 most significant.
     """
 
-    __slots__ = ("flip", "signs", "scalar")
+    __slots__ = ("flip", "signs", "scalar", "mask")
 
     def __init__(self, string: PauliString, n_qubits: int):
         if string.n_qubits > n_qubits:
@@ -365,6 +359,7 @@ class StringPlan:
                      if xy else None)
         self.signs = _sign_vector(n_qubits, zy) if zy else None
         self.scalar = _I_POWERS[(-n_y) & 3]  # (-i)^{#Y}
+        self.mask = sum(1 << (n_qubits - 1 - q) for q in xy)
 
     def act(self, tensor: np.ndarray) -> np.ndarray:
         """P|psi>."""
@@ -432,23 +427,6 @@ def expectation(h: PauliSum, psi) -> float:
     return float(value.real)
 
 
-def basis_phase(string: PauliString, index: int, n_qubits: int) -> Tuple[complex, int]:
-    """P|index> = phase * |target>; returns (phase, target index)."""
-    xy, zy, n_y = _string_axes(string)
-    mask = 0
-    for q in xy:
-        mask |= 1 << (n_qubits - 1 - q)
-    parity = 0
-    for q in zy:
-        parity ^= (index >> (n_qubits - 1 - q)) & 1
-    target = index ^ mask
-    # phase of P acting on |index>: i^{#Y} * (-1)^{sum of Y/Z bits of index}
-    ipow = n_y & 3
-    if parity:
-        ipow = (ipow + 2) & 3
-    return _I_POWERS[ipow], target
-
-
 def check_dense_bytes(rows: int, cols: int) -> None:
     """Raise before a rows x cols complex array above DENSE_BYTES_GUARD."""
     nbytes = rows * cols * np.dtype(complex).itemsize
@@ -457,14 +435,30 @@ def check_dense_bytes(rows: int, cols: int) -> None:
                          f"bytes > guard {DENSE_BYTES_GUARD}")
 
 
-def to_matrix(h: PauliSum) -> np.ndarray:
-    """Dense 2^n x 2^n matrix with qubit 0 as the most significant bit."""
+def to_matrix(h: PauliSum, basis: Optional[Sequence[int]] = None
+              ) -> np.ndarray:
+    """Dense matrix of H with qubit 0 as the most significant bit.
+
+    With ``basis``, a sequence of distinct basis indices, only the block
+    H[basis, basis] is built (the ED oracle's sector matrix).  Each term
+    scatters coeff * scalar * sign[b ^ m] into column b, row b ^ m, in term
+    order, so every entry is summed exactly as a Kronecker construction
+    would sum it.
+    """
     dim = 1 << h.n_qubits
-    check_dense_bytes(dim, dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for string, coeff in h.items():
-        block = np.ones((1, 1), dtype=complex)
-        for q in range(h.n_qubits):
-            block = np.kron(block, _SINGLE_QUBIT_MATRICES[string.letter(q)])
-        out += coeff * block
+    size = dim if basis is None else len(basis)
+    check_dense_bytes(size, size)
+    basis = (np.arange(dim) if basis is None
+             else np.asarray(basis, dtype=np.intp))
+    position = np.full(dim, -1, dtype=np.intp)
+    position[basis] = np.arange(size)
+    out = np.zeros((size, size), dtype=complex)
+    for coeff, plan in h.plans(h.n_qubits):
+        targets = basis ^ plan.mask
+        rows = position[targets]
+        hit = rows >= 0
+        targets = targets[hit]
+        phase = (plan.scalar if plan.signs is None
+                 else plan.scalar * plan.signs.reshape(-1)[targets])
+        out[rows[hit], np.flatnonzero(hit)] += coeff * phase
     return out

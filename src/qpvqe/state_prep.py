@@ -15,11 +15,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PauliSum, to_matrix
 from .statevector import (GateOp, StateVector, gate_controlled_ry,
                           gate_controlled_x, gate_cnot, gate_ry, gate_x,
                           run_program)
-from .harness import diagonal_element, sector_indices, bit_list
+from .harness import sector_indices, bit_list
 
 WEIGHT_SUM_TOL = 1e-12
 PREP_AMPLITUDE_TOL = 1e-12
@@ -108,16 +108,18 @@ def select_reference_determinants(h: PauliSum, n_particles: int, sz: float,
                                   k: int) -> ReferenceSet:
     """K sector determinants with the smallest diagonal <D|H|D>.
 
+    The diagonal is read off the sector matrix ``to_matrix(h, basis)``.
     Ties break lexicographically on the bitstring, so the choice is fully
     deterministic.
     """
     indices = sector_indices(h.n_qubits, n_particles, sz)
     if k > len(indices):
         raise ValueError(f"K={k} exceeds sector dimension {len(indices)}")
+    diagonal = to_matrix(h, indices).diagonal().real.tolist()
     keyed = sorted(
-        ("".join(str(b) for b in bit_list(i, h.n_qubits)) for i in indices),
-        key=lambda bits: (diagonal_element(h, int(bits, 2)), bits))
-    return ReferenceSet(tuple(keyed[:k]))
+        (energy, "".join(str(b) for b in bit_list(i, h.n_qubits)))
+        for energy, i in zip(diagonal, indices))
+    return ReferenceSet(tuple(bits for _, bits in keyed[:k]))
 
 
 def n_ancilla_for(k: int) -> int:

@@ -4,8 +4,32 @@ import math
 
 import numpy as np
 
-from qpvqe.pauli import PauliSum, _I_POWERS, _string_axes, to_matrix
+from qpvqe.pauli import PauliSum, _I_POWERS, _string_axes
 from qpvqe.statevector import GateOp, StateVector, apply_gate
+
+_SINGLE_QUBIT_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def kron_matrix(h: PauliSum) -> np.ndarray:
+    """Dense 2^n x 2^n matrix from Kronecker products of 2x2 Paulis.
+
+    Qubit 0 is the most significant bit.  Independent of the compiled
+    plans, so it serves as the dense reference for every fast path.
+    """
+    dim = 1 << h.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for string, coeff in h.items():
+        letters = dict(string.items)
+        block = np.ones((1, 1), dtype=complex)
+        for q in range(h.n_qubits):
+            block = np.kron(block, _SINGLE_QUBIT_MATRICES[letters.get(q, "I")])
+        out += coeff * block
+    return out
 
 
 def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
@@ -17,7 +41,8 @@ def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
     """
     dim = 1 << n_qubits
     if gate.kind == "PAULI_ROT":
-        mat = to_matrix(PauliSum(n_qubits, {gate.string.embed(n_qubits): 1.0}))
+        string = gate.string.embed(n_qubits)
+        mat = kron_matrix(PauliSum(n_qubits, {string: 1.0}))
         half = gate.angle / 2.0
         return np.cos(half) * np.eye(dim) - 1j * np.sin(half) * mat
     cols = np.zeros((dim, dim), dtype=complex)
@@ -117,3 +142,30 @@ def string_value_and_gradient(circuit, theta, h, initial):
         grad[rot.parameter_index] += 2.0 * rot.coefficient * float(
             np.vdot(lam_state.amplitudes, p_psi).imag)
     return energy, grad
+
+
+def shifted_gradient(circuit, theta, h, initial):
+    """The parameter-shift gradient from literal circuit executions.
+
+    Each rotation r runs the whole circuit twice with its own angle
+    shifted by +-pi/2 (O(R^2) rotations) and contributes
+    2 c_r (E(+) - E(-))/2 to its parameter.
+    """
+    theta = np.asarray(theta, dtype=float)
+    grad = np.zeros(circuit.parameter_count)
+    for which, rot in enumerate(circuit.rotations):
+        if rot.coefficient == 0.0:
+            continue
+        values = []
+        for shift in (math.pi / 2, -math.pi / 2):
+            state = initial.copy()
+            for r, other in enumerate(circuit.rotations):
+                angle = 2.0 * theta[other.parameter_index] * other.coefficient
+                if r == which:
+                    angle += shift
+                if angle != 0.0:
+                    string_pauli_exponential(state, other.string, angle)
+            values.append(string_expectation(h, state))
+        grad[rot.parameter_index] += \
+            2.0 * rot.coefficient * (values[0] - values[1]) / 2.0
+    return grad

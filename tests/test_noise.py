@@ -11,13 +11,13 @@ from qpvqe.noise import (CalibrationError, DensityMatrix, ShotSampler,
                          parse_calibration, spsa_optimize,
                          thermal_relaxation_kraus, totally_mixed_energy,
                          two_qubit_depolarizing_kraus, zero_noise_calibration)
-from qpvqe.pauli import DimensionMismatch, PauliString, PauliSum, to_matrix
+from qpvqe.pauli import DimensionMismatch, PauliString, PauliSum
 from qpvqe.statevector import (GateOp, gate_cnot, gate_controlled_ry,
                                gate_controlled_x, gate_pauli_rot, gate_ry,
                                gate_x)
 
 from conftest import data_path
-from oracles import gate_unitary
+from oracles import gate_unitary, kron_matrix
 
 CAL_PATH = data_path("calibration", "ibmq_manila.cal")
 
@@ -205,7 +205,7 @@ class TestChannels:
                                 for q in qubits})
                 terms[string] = terms.get(string, 0.0) + float(rng.normal())
             op = PauliSum(op_qubits, terms)
-            dense = np.einsum("ij,ji->", to_matrix(op.embed(n)), rho.matrix)
+            dense = np.einsum("ij,ji->", kron_matrix(op.embed(n)), rho.matrix)
             assert rho.expectation(op) == pytest.approx(dense.real, abs=1e-12)
         with pytest.raises(DimensionMismatch):
             rho.expectation(PauliSum.identity(n + 1))

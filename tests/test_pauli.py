@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpvqe.pauli import (DimensionMismatch, PauliString, PauliSum,
+from qpvqe.pauli import (DimensionMismatch, PauliString, PauliSum, StringPlan,
                          add_simplify, expectation, multiply, pauli_action,
                          to_matrix)
 from qpvqe.statevector import StateVector, init_basis
+
+from oracles import kron_matrix
 
 
 def word(n, w):
@@ -118,7 +120,7 @@ class TestExpectation:
             v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             v /= np.linalg.norm(v)
             psi = StateVector(n, v)
-            dense = float(np.real(v.conj() @ to_matrix(h) @ v))
+            dense = float(np.real(v.conj() @ kron_matrix(h) @ v))
             assert expectation(h, psi) == pytest.approx(dense, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
@@ -159,6 +161,49 @@ class TestToMatrix:
             to_matrix(PauliSum.identity(15))
 
 
+@st.composite
+def hermitian_sums(draw):
+    """Real-weighted sums on 1-6 qubits over all letters, over Z only (no
+    X/Y letters, mask 0) or over Y only."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    alphabet = draw(st.sampled_from(("IXYZ", "IZ", "IY")))
+    letters = st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)
+    coeffs = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    acc = {}
+    for word_letters, coeff in draw(st.lists(st.tuples(letters, coeffs),
+                                             max_size=8)):
+        string = PauliString.from_map(
+            n, {q: letter for q, letter in enumerate(word_letters)
+                if letter != "I"})
+        acc[string] = acc.get(string, 0.0) + coeff
+    return PauliSum(n, acc)
+
+
+class TestCompiledForm:
+    @given(hermitian_sums(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_scatter_matches_kron(self, h, data):
+        full = to_matrix(h)
+        assert np.array_equal(full, kron_matrix(h))
+        dim = 1 << h.n_qubits
+        basis = data.draw(st.lists(st.integers(0, dim - 1), min_size=1,
+                                   max_size=dim, unique=True))
+        assert np.array_equal(to_matrix(h, basis), full[np.ix_(basis, basis)])
+
+    @given(hermitian_sums(), st.integers(min_value=0, max_value=2))
+    @settings(max_examples=80, deadline=None)
+    def test_mask_is_where_act_sends_each_basis_state(self, h, extra):
+        n = h.n_qubits + extra
+        dim = 1 << n
+        states = np.eye(dim, dtype=complex).reshape((dim,) + (2,) * n)
+        for string, _ in h.items():
+            plan = StringPlan(string, n)
+            images = plan.act(states).reshape(dim, dim)
+            assert np.all(np.count_nonzero(images, axis=1) == 1)
+            targets = np.argmax(np.abs(images), axis=1)
+            assert np.all(targets ^ np.arange(dim) == plan.mask)
+
+
 class TestPauliAction:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -168,7 +213,7 @@ class TestPauliAction:
         s = random_string(rng, n)
         v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         out = pauli_action(s, n, v)
-        dense = to_matrix(PauliSum(n, {s: 1.0})) @ v
+        dense = kron_matrix(PauliSum(n, {s: 1.0})) @ v
         assert np.max(np.abs(out - dense)) < 1e-13
 
 

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from qpvqe.pauli import PauliString, PauliSum, to_matrix
+from qpvqe.pauli import PauliString, PauliSum
 from qpvqe.statevector import (GateOp, StateVector, apply_gate,
                                apply_pauli_exponential, fidelity, gate_cnot,
                                gate_controlled_ry, gate_controlled_x,
                                gate_ry, gate_x, init_basis, inner_product,
                                run_program)
+
+from oracles import kron_matrix
 
 
 def random_state(rng, n):
@@ -155,7 +157,7 @@ class TestPauliExponential:
         string = random_string(rng, n)
         angle = float(rng.uniform(-2 * np.pi, 2 * np.pi))
         psi = random_state(rng, n)
-        dense = expm(-0.5j * angle * to_matrix(PauliSum(n, {string: 1.0})))
+        dense = expm(-0.5j * angle * kron_matrix(PauliSum(n, {string: 1.0})))
         expected = dense @ psi.amplitudes
         apply_pauli_exponential(psi, string, angle)
         assert np.max(np.abs(psi.amplitudes - expected)) < 1e-12
