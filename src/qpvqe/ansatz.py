@@ -11,20 +11,22 @@ Rotations run through compiled ``StringPlan``s (see ``qpvqe.pauli``).  A
 circuit compiles its strings on first use for each register size it is
 applied to and keeps them in ``AnsatzCircuit.plans``; building a circuit
 compiles nothing.  The compiled routes are bit-identical to applying the
-strings one ``apply_pauli_exponential``/``pauli_action`` call at a time.
+strings one ``apply_pauli_exponential``/``pauli_action`` call at a time,
+and so is the gradient sweep that skips the rotations a
+``symmetry_screen`` proves to contribute exactly zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fermion import ExcitationGenerator
-from .pauli import (PauliString, PauliSum, StringPlan, expectation,
-                    paulisum_action)
-from .statevector import StateVector, apply_pauli_exponential
+from .pauli import (PauliString, PauliSum, StringPlan, paulisum_action,
+                    z2_symmetries)
+from .statevector import StateVector
 
 ROTATION_COEFF_TOL = 1e-12
 
@@ -143,39 +145,45 @@ def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],
     return state
 
 
-def apply_ansatz_inverse(circuit: AnsatzCircuit, theta: Sequence[float],
-                         state: StateVector) -> StateVector:
-    theta = parameter_vector(theta)
-    for rot in reversed(circuit.rotations):
-        angle = -2.0 * theta[rot.parameter_index] * rot.coefficient
-        if angle != 0.0:
-            apply_pauli_exponential(state, rot.string, angle)
-    return state
+# Per kept Z2 symmetry S of H: (parameter indices, rotation flags) of the
+# rotations that anticommute with S.
+SymmetryScreen = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
-def circuit_unitary(circuit: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:
-    """Dense matrix of U(theta), for small-register oracle checks."""
-    dim = 1 << circuit.n_working_qubits
-    cols = []
-    for index in range(dim):
-        state = StateVector(circuit.n_working_qubits)
-        state.amplitudes[0] = 0.0
-        state.amplitudes[index] = 1.0
-        apply_ansatz(circuit, theta, state)
-        cols.append(state.amplitudes)
-    return np.array(cols).T
+def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
+                    initial: StateVector) -> Optional[SymmetryScreen]:
+    """The screen of the Z2 symmetries S of H (``pauli.z2_symmetries``)
+    that some rotation anticommutes with, or None.
 
-
-def expectation_objective(circuit: AnsatzCircuit, h: PauliSum,
-                          initial: StateVector) -> Callable[[np.ndarray], float]:
-    """theta -> <init| U^dag (H (x) 1) U |init> as a plain callable."""
-    def objective(theta: np.ndarray) -> float:
-        return expectation(h, apply_ansatz(circuit, theta, initial.copy()))
-    return objective
+    Premise, else None: amplitudes that share the bits no term and no
+    rotation flips (the ancilla label) lie in one S eigenspace.  While S's
+    rotations all sit at theta exactly 0, nothing moves a branch out of
+    it, so each such Im<lambda|P|psi> sums products with an exact-zero
+    factor and adds +-0.0 to a gradient entry that is never -0.0.
+    """
+    n = initial.n_qubits
+    compiled = circuit.plans(n)
+    h_masks = [plan.mask for _, plan in h.plans(n)]
+    masks = [plan.mask for plan in compiled.strings]
+    kept = ~int(np.bitwise_or.reduce(h_masks + masks))
+    occupied = np.flatnonzero(initial.amplitudes).tolist()
+    screen = []
+    for symmetry in z2_symmetries(h_masks, n):
+        flags = np.array([(m & symmetry).bit_count() & 1 for m in masks],
+                         dtype=bool)
+        if not flags.any() or any(np.array_equal(flags, f) for _, f in screen):
+            continue
+        parity = {j & kept: (j & symmetry).bit_count() & 1 for j in occupied}
+        if any(parity[j & kept] != (j & symmetry).bit_count() & 1
+               for j in occupied):
+            return None
+        screen.append((compiled.index[flags], flags))
+    return tuple(screen) or None
 
 
 def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
-                       h: PauliSum, initial: StateVector
+                       h: PauliSum, initial: StateVector,
+                       screen: Optional[SymmetryScreen] = None
                        ) -> Tuple[float, np.ndarray]:
     """Energy and its exact parameter-shift gradient in one double sweep.
 
@@ -187,7 +195,8 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     O(R^2) circuit executions; tests pin equality against literal shifted
     executions and finite differences.  The sweep un-rotates psi and
     lambda = H|psi> stacked in one (2, 2, ..., 2) array, one pass per
-    rotation for both.
+    rotation for both.  It skips the rotations that ``screen``, built by
+    ``symmetry_screen`` for these arguments, flags at theta: same bits.
     """
     theta = _checked_theta(circuit, theta)
     n = initial.n_qubits
@@ -199,9 +208,13 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     grad = [0.0] * circuit.parameter_count
     index = compiled.index.tolist()
     coefficient = compiled.coefficient.tolist()
+    skip = np.zeros(len(strings), dtype=bool)
+    for params, flags in screen or ():
+        if not np.any(theta[params]):
+            skip |= flags
     # psi over the raw H|psi>, deliberately unnormalized
     pair = np.stack((psi, lam.reshape(psi.shape)))
-    for r in range(len(strings) - 1, -1, -1):
+    for r in np.flatnonzero(~skip)[::-1].tolist():
         plan, angle = strings[r], angles[r]
         if angle != 0.0:
             pair = plan.rotate(pair, -angle)

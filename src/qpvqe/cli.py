@@ -20,8 +20,7 @@ import numpy as np
 
 from .ansatz import build_uccgsd
 from .driver import (AdamConfig, QpvqeConfig, SpectrumResult, SpsaConfig,
-                     attach_certificate, ensemble_energy, optimize,
-                     symmetry_expectations)
+                     attach_certificate, optimize)
 from .fermion import enumerate_sz_excitations
 from .harness import (EDReference, exact_diagonalize, format_float,
                       load_hamiltonian, load_manifest, parse_record,

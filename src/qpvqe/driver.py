@@ -7,6 +7,7 @@ noiseless path minimizes it with Adam on exact parameter-shift gradients
 under a monotone accept/backtrack rule (see AdamConfig), so the recorded
 trace never rises by more than the monotone tolerance and the 1e-9 Ha
 trailing-window criterion is met honestly rather than by a frozen trace.
+Each run builds one symmetry screen, which makes gradients cheaper only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit, apply_ansatz, value_and_gradient
+from .ansatz import (AnsatzCircuit, SymmetryScreen, apply_ansatz,
+                     symmetry_screen, value_and_gradient)
 from .pauli import PauliSum, expectation
 from .state_prep import (PurifiedPrep, ReferenceSet, WeightVector,
                          default_weights)
@@ -116,18 +118,6 @@ def ensemble_energy(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
     return expectation(h, state)
 
 
-def ensemble_energy_by_states(h: PauliSum, circuit: AnsatzCircuit,
-                              prep: PurifiedPrep,
-                              theta: Sequence[float]) -> float:
-    """Reference loop sum_j w_j <D_j|U^dag H U|D_j>; oracle route only."""
-    total = 0.0
-    for w_j, det in zip(prep.weights.w, prep.refs.determinants):
-        state = init_basis(len(det), det)
-        apply_ansatz(circuit, theta, state)
-        total += w_j * expectation(h, state)
-    return total
-
-
 def _window_spread(trace: List[float], window: int) -> float:
     tail = trace[-(window + 1):]
     return max(tail) - min(tail)
@@ -143,7 +133,8 @@ def _energy_only(circuit: AnsatzCircuit, theta: np.ndarray, h: PauliSum,
 def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
                   theta0: np.ndarray, config: QpvqeConfig,
                   callback: Optional[Callable[[int, float], None]] = None,
-                  iteration_offset: int = 0
+                  iteration_offset: int = 0, *,
+                  screen: Optional[SymmetryScreen] = None
                   ) -> Tuple[np.ndarray, List[float], bool, int]:
     """One monotone Adam descent; returns (theta, trace, converged, evals)."""
     adam = config.adam
@@ -152,7 +143,7 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
 
-    energy, grad = value_and_gradient(circuit, theta, h, initial)
+    energy, grad = value_and_gradient(circuit, theta, h, initial, screen)
     if not np.isfinite(energy):
         raise FloatingPointError("objective diverged at iteration 0")
     trace = [energy]
@@ -167,7 +158,8 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
         direction = m_hat / (np.sqrt(v_hat) + adam.eps)
 
         theta_new = theta - lr * direction
-        energy_new, grad_new = value_and_gradient(circuit, theta_new, h, initial)
+        energy_new, grad_new = value_and_gradient(circuit, theta_new, h,
+                                                  initial, screen)
         evaluations += 1
         if not np.isfinite(energy_new):
             raise FloatingPointError(
@@ -189,7 +181,8 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
         theta, energy = theta_new, energy_new
         m, v = m_new, v_new
         if grad_new is None:
-            energy, grad_new = value_and_gradient(circuit, theta, h, initial)
+            energy, grad_new = value_and_gradient(circuit, theta, h,
+                                                  initial, screen)
             evaluations += 1
         grad = grad_new
         trace.append(energy)
@@ -225,11 +218,15 @@ def optimize(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
     re-descend, adopting strictly better outcomes.  Everything is
     deterministic in (config, seed); the recorded trace concatenates all
     descents that were evaluated, adopted or not.
+    The symmetry screen built here changes no bit: every gradient skips
+    the rotations it proves exactly zero (``ansatz.SymmetryScreen``), all
+    Z2-forbidden ones in the first descent and none after a saddle probe.
     """
     initial = prep.prepare()
+    screen = symmetry_screen(circuit, h, initial)
     theta = np.zeros(circuit.parameter_count)
     theta, trace, converged, evaluations = _adam_descent(
-        h, circuit, initial, theta, config, callback)
+        h, circuit, initial, theta, config, callback, screen=screen)
     energies, states = extract_eigenpairs(circuit, theta, prep.refs, h)
 
     best_energy = trace[-1]
@@ -241,7 +238,7 @@ def optimize(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
             theta.size)
         theta_new, trace_new, converged_new, evals_new = _adam_descent(
             h, circuit, initial, theta_try, config, callback,
-            iteration_offset=len(trace) - 1)
+            iteration_offset=len(trace) - 1, screen=screen)
         trace.extend(trace_new)
         evaluations += evals_new
         if trace_new[-1] < best_energy - max(config.convergence_threshold,

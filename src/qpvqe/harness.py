@@ -18,8 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import (PauliString, PauliSum, check_dense_bytes, paulisum_action,
-                    to_matrix)
+from .pauli import PauliString, PauliSum, check_dense_bytes, to_matrix
 
 DEGENERACY_TOL = 1e-6
 
@@ -149,16 +148,6 @@ def exact_diagonalize(h: PauliSum, sector: Optional[Tuple[int, float]] = None,
         embedded[basis] = vectors
         vectors = embedded
     return EDReference(sector, np.real(energies), vectors, h.n_qubits)
-
-
-def ed_residuals(h: PauliSum, ref: EDReference) -> np.ndarray:
-    """||H v_j - E_j v_j||_2 for every returned pair."""
-    out = []
-    for j in range(len(ref.energies)):
-        v = ref.vectors[:, j]
-        out.append(np.linalg.norm(paulisum_action(h, h.n_qubits, v)
-                                  - ref.energies[j] * v))
-    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -211,11 +211,6 @@ class DensityMatrix:
         self.vec.amplitudes = matrix.reshape(-1)
 
     @classmethod
-    def from_statevector(cls, state: StateVector) -> "DensityMatrix":
-        amps = state.amplitudes
-        return cls(state.n_qubits, np.outer(amps, amps.conj()))
-
-    @classmethod
     def totally_mixed(cls, n_qubits: int) -> "DensityMatrix":
         dim = 1 << n_qubits
         return cls(n_qubits, np.eye(dim, dtype=complex) / dim)
@@ -258,44 +253,30 @@ class DensityMatrix:
             signs, self.vec.amplitudes[rows * dim + (rows ^ plan.mask)])
 
 
-def embed_kraus(kraus: Sequence[np.ndarray], qubit: int,
-                n_qubits: int) -> List[np.ndarray]:
-    """Full-register Kraus matrices of a one-qubit channel (oracle route)."""
-    out = []
-    for k in kraus:
-        full = np.ones((1, 1), dtype=complex)
-        for q in range(n_qubits):
-            full = np.kron(full, k if q == qubit else np.eye(2))
-        out.append(full)
-    return out
+# I, X, Y, Z as 2x2 matrices.
+_PAULIS = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
+           np.array([[0, -1j], [1j, 0]], dtype=complex),
+           np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def depolarizing_kraus(p: float) -> List[np.ndarray]:
     """rho -> (1-p) rho + p I/2; Bloch vector contracts by (1-p)."""
     if not 0.0 <= p <= 1.0:
         raise CalibrationError("depolarizing rate outside [0, 1]")
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    return [math.sqrt(1 - 0.75 * p) * np.eye(2, dtype=complex),
-            math.sqrt(p / 4.0) * x, math.sqrt(p / 4.0) * y,
-            math.sqrt(p / 4.0) * z]
+    return [math.sqrt(1 - 0.75 * p) * _PAULIS[0]] + [
+        math.sqrt(p / 4.0) * pauli for pauli in _PAULIS[1:]]
 
 
 def two_qubit_depolarizing_kraus(p: float) -> List[np.ndarray]:
     """15-Pauli channel rho -> (1-p) rho + p I/4 on a qubit pair."""
     if not 0.0 <= p <= 1.0:
         raise CalibrationError("depolarizing rate outside [0, 1]")
-    singles = [np.eye(2, dtype=complex),
-               np.array([[0, 1], [1, 0]], dtype=complex),
-               np.array([[0, -1j], [1j, 0]], dtype=complex),
-               np.array([[1, 0], [0, -1]], dtype=complex)]
-    out = [math.sqrt(1 - 15.0 * p / 16.0) * np.kron(singles[0], singles[0])]
+    out = [math.sqrt(1 - 15.0 * p / 16.0) * np.kron(_PAULIS[0], _PAULIS[0])]
     for i in range(4):
         for j in range(4):
             if i == j == 0:
                 continue
-            out.append(math.sqrt(p / 16.0) * np.kron(singles[i], singles[j]))
+            out.append(math.sqrt(p / 16.0) * np.kron(_PAULIS[i], _PAULIS[j]))
     return out
 
 
@@ -316,18 +297,8 @@ def thermal_relaxation_kraus(t_ns: float, t1_us: float,
             np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)]
     if p_z == 0.0:
         return damp
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    phase = [math.sqrt(1 - p_z) * np.eye(2, dtype=complex),
-             math.sqrt(p_z) * z]
+    phase = [math.sqrt(1 - p_z) * _PAULIS[0], math.sqrt(p_z) * _PAULIS[3]]
     return [p @ d for p in phase for d in damp]
-
-
-def apply_kraus(rho: DensityMatrix, kraus: Sequence[np.ndarray]) -> DensityMatrix:
-    out = np.zeros_like(rho.matrix)
-    for k in kraus:
-        out += k @ rho.matrix @ k.conj().T
-    rho.matrix = out
-    return rho
 
 
 def channel_superoperator(kraus: Sequence[np.ndarray]) -> np.ndarray:

@@ -13,15 +13,15 @@ A string maps |j> to a phase times |j ^ m>, m its X/Y bit mask.  The
 ``StringPlan`` compiled from it once per register size, and kept on the
 owning ``PauliSum`` (``plans``) or ansatz circuit, is the only place any
 module reads that action.  Its flip, sign tensor, scalar and mask serve
-four readers: P|psi> and exp(-i phi/2 P)|psi> on amplitude tensors, the
-dense and sector matrices of ``to_matrix`` (the ED oracle and the
-reference diagonal <D|H|D>), and Tr(P rho) on density matrices.  Plans
-are bit-identical to the uncompiled string route; the comment above
+P|psi> and exp(-i phi/2 P)|psi>, the matrices of ``to_matrix`` (the ED
+oracle), Tr(P rho) and H's Z2 symmetries (``z2_symmetries``).  Plans are
+bit-identical to the uncompiled string route; the comment above
 ``StringPlan`` says why that matters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -198,14 +198,6 @@ class PauliSum:
         self._plans: Dict[int, Tuple[Tuple[complex, "StringPlan"], ...]] = {}
 
     @classmethod
-    def from_terms(cls, n_qubits: int,
-                   terms: Iterable[Tuple[complex, PauliString]]) -> "PauliSum":
-        acc: Dict[PauliString, complex] = {}
-        for coeff, string in terms:
-            acc[string] = acc.get(string, 0.0) + complex(coeff)
-        return cls(n_qubits, acc)
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, {PauliString(n_qubits): coeff})
 
@@ -306,23 +298,25 @@ def add_simplify(a: PauliSum, b: PauliSum) -> PauliSum:
 # a module cache keyed by object identity.  A plan runs exactly the
 # elementwise operations of the uncompiled route, in the same order and on
 # the same dtypes, so its results are bit-identical to it (up to the sign
-# of an exact zero).  That contract matters: in symmetry-forbidden
-# directions the gradient is pure roundoff, Adam turns it into ~1e-10
-# steps, and any change of roundoff moves a stored run's theta record.
+# of an exact zero).  That contract matters.  Rotations that anticommute
+# with a Z2 symmetry of H have an exactly zero gradient while all of them
+# sit at theta = 0, and the sweep skips them (``ansatz.symmetry_screen``).
+# Other directions can carry a roundoff-only gradient (the 26 |theta| <=
+# 1e-8 entries of the stored LiH record), which Adam turns into ~1e-10
+# steps: any change of roundoff moves a stored run's theta record.
 # ---------------------------------------------------------------------------
 
-_SIGN_CACHE: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
+# Sign tensors are shared by plans with equal (register, axes); the bound
+# holds all 616 keys of a LiH ``run`` (solve, extraction and ED).
+SIGN_CACHE_SIZE = 1024
 
 
+@functools.lru_cache(maxsize=SIGN_CACHE_SIZE)
 def _sign_vector(n_qubits: int, axes: Tuple[int, ...]) -> np.ndarray:
     """int8 tensor of prod_{q in axes} (-1)^{j_q}; +-1 is exact in any dtype."""
-    key = (n_qubits, axes)
-    vec = _SIGN_CACHE.get(key)
-    if vec is None:
-        vec = np.ones((2,) * n_qubits, dtype=np.int8)
-        for q in axes:
-            vec[(slice(None),) * q + (slice(1, 2),)] *= -1
-        _SIGN_CACHE[key] = vec
+    vec = np.ones((2,) * n_qubits, dtype=np.int8)
+    for q in axes:
+        vec[(slice(None),) * q + (slice(1, 2),)] *= -1
     return vec
 
 
@@ -380,6 +374,26 @@ class StringPlan:
         if self.signs is not None:
             return c * tensor + k * (self.signs * flipped)
         return c * tensor + k * flipped
+
+
+def z2_symmetries(masks: Iterable[int], n_qubits: int) -> Tuple[int, ...]:
+    """Z masks spanning {v : parity(v & m) = 0 for every X/Y mask m}.
+
+    The GF(2) null space of the masks, the first step of qubit tapering
+    (Bravyi et al., arXiv:1701.08213): rows reduced by pivot bit, then each
+    free bit f gives f plus the pivots of the rows holding f.
+    """
+    rows: Dict[int, int] = {}
+    for m in masks:
+        for pivot, row in rows.items():
+            m ^= row if m >> pivot & 1 else 0
+        if m:
+            pivot = m.bit_length() - 1
+            rows = {p: r ^ m if r >> pivot & 1 else r for p, r in rows.items()}
+            rows[pivot] = m
+    return tuple((1 << f) | sum(1 << pivot for pivot, row in rows.items()
+                                if row >> f & 1)
+                 for f in range(n_qubits) if f not in rows)
 
 
 def pauli_action(string: PauliString, n_qubits: int,
@@ -461,4 +475,17 @@ def to_matrix(h: PauliSum, basis: Optional[Sequence[int]] = None
         phase = (plan.scalar if plan.signs is None
                  else plan.scalar * plan.signs.reshape(-1)[targets])
         out[rows[hit], np.flatnonzero(hit)] += coeff * phase
+    return out
+
+
+def matrix_diagonal(h: PauliSum, basis: Sequence[int]) -> np.ndarray:
+    """``to_matrix(h, basis).diagonal()`` bit for bit, without a plan: it
+    sums the scatter's coeff * (scalar * sign[b]) over the mask-0 terms."""
+    basis = np.asarray(basis, dtype=np.intp)
+    out = np.zeros(basis.size, dtype=complex)
+    for string, coeff in h.items():
+        xy, zy, _ = _string_axes(string)
+        if not xy:
+            out += coeff * (_I_POWERS[0] if not zy else _I_POWERS[0] *
+                            _sign_vector(h.n_qubits, zy).reshape(-1)[basis])
     return out

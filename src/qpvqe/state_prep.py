@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import PauliSum, to_matrix
+from .pauli import PauliSum, matrix_diagonal
 from .statevector import (GateOp, StateVector, gate_controlled_ry,
                           gate_controlled_x, gate_cnot, gate_ry, gate_x,
                           run_program)
@@ -108,14 +108,15 @@ def select_reference_determinants(h: PauliSum, n_particles: int, sz: float,
                                   k: int) -> ReferenceSet:
     """K sector determinants with the smallest diagonal <D|H|D>.
 
-    The diagonal is read off the sector matrix ``to_matrix(h, basis)``.
-    Ties break lexicographically on the bitstring, so the choice is fully
+    The diagonal is ``matrix_diagonal(h, basis)``, which sums only the
+    Hamiltonian's X/Y-free strings and builds no sector matrix.  Ties
+    break lexicographically on the bitstring, so the choice is fully
     deterministic.
     """
     indices = sector_indices(h.n_qubits, n_particles, sz)
     if k > len(indices):
         raise ValueError(f"K={k} exceeds sector dimension {len(indices)}")
-    diagonal = to_matrix(h, indices).diagonal().real.tolist()
+    diagonal = matrix_diagonal(h, indices).real.tolist()
     keyed = sorted(
         (energy, "".join(str(b) for b in bit_list(i, h.n_qubits)))
         for energy, i in zip(diagonal, indices))

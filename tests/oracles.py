@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 
-from qpvqe.pauli import PauliSum, _I_POWERS, _string_axes
-from qpvqe.statevector import GateOp, StateVector, apply_gate
+from qpvqe.ansatz import apply_ansatz, parameter_vector
+from qpvqe.pauli import (PauliSum, _I_POWERS, _string_axes, expectation,
+                         paulisum_action)
+from qpvqe.statevector import (GateOp, StateVector, apply_gate,
+                               apply_pauli_exponential, init_basis)
 
 _SINGLE_QUBIT_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -169,3 +172,77 @@ def shifted_gradient(circuit, theta, h, initial):
         grad[rot.parameter_index] += \
             2.0 * rot.coefficient * (values[0] - values[1]) / 2.0
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Plain reference routes: the expectation objective, U(theta) as a dense
+# matrix and its inverse, the per-state ensemble loop, dense Kraus channels
+# and ED residuals.
+# ---------------------------------------------------------------------------
+
+def expectation_objective(circuit, h, initial):
+    """theta -> <init| U^dag (H (x) 1) U |init> as a plain callable."""
+    def objective(theta):
+        return expectation(h, apply_ansatz(circuit, theta, initial.copy()))
+    return objective
+
+
+def circuit_unitary(circuit, theta):
+    """Dense matrix of U(theta), for small-register oracle checks."""
+    dim = 1 << circuit.n_working_qubits
+    cols = []
+    for index in range(dim):
+        state = StateVector(circuit.n_working_qubits)
+        state.amplitudes[0] = 0.0
+        state.amplitudes[index] = 1.0
+        apply_ansatz(circuit, theta, state)
+        cols.append(state.amplitudes)
+    return np.array(cols).T
+
+
+def apply_ansatz_inverse(circuit, theta, state):
+    theta = parameter_vector(theta)
+    for rot in reversed(circuit.rotations):
+        angle = -2.0 * theta[rot.parameter_index] * rot.coefficient
+        if angle != 0.0:
+            apply_pauli_exponential(state, rot.string, angle)
+    return state
+
+
+def ensemble_energy_by_states(h, circuit, prep, theta):
+    """Reference loop sum_j w_j <D_j|U^dag H U|D_j>."""
+    total = 0.0
+    for w_j, det in zip(prep.weights.w, prep.refs.determinants):
+        state = init_basis(len(det), det)
+        apply_ansatz(circuit, theta, state)
+        total += w_j * expectation(h, state)
+    return total
+
+
+def embed_kraus(kraus, qubit, n_qubits):
+    """Full-register Kraus matrices of a one-qubit channel."""
+    out = []
+    for k in kraus:
+        full = np.ones((1, 1), dtype=complex)
+        for q in range(n_qubits):
+            full = np.kron(full, k if q == qubit else np.eye(2))
+        out.append(full)
+    return out
+
+
+def apply_kraus(rho, kraus):
+    out = np.zeros_like(rho.matrix)
+    for k in kraus:
+        out += k @ rho.matrix @ k.conj().T
+    rho.matrix = out
+    return rho
+
+
+def ed_residuals(h, ref):
+    """||H v_j - E_j v_j||_2 for every returned pair."""
+    out = []
+    for j in range(len(ref.energies)):
+        v = ref.vectors[:, j]
+        out.append(np.linalg.norm(paulisum_action(h, h.n_qubits, v)
+                                  - ref.energies[j] * v))
+    return np.array(out)

@@ -12,9 +12,8 @@ import contextlib
 import numpy as np
 import pytest
 
-from qpvqe.ansatz import (build_uccgsd, expectation_objective, gradient)
-from qpvqe.driver import (SpsaConfig, ensemble_energy,
-                          ensemble_energy_by_states, error_bound,
+from qpvqe.ansatz import build_uccgsd, gradient
+from qpvqe.driver import (SpsaConfig, ensemble_energy, error_bound,
                           symmetry_expectations)
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import sector_indices, bit_list
@@ -31,6 +30,7 @@ from qpvqe.state_prep import (ReferenceSet, WeightVector, build_purified_prep,
 from qpvqe.statevector import init_basis
 
 from conftest import Problem, data_path
+from oracles import ensemble_energy_by_states, expectation_objective
 
 CHEMICAL_ACCURACY_HA = 1.6e-3
 H4_TOLERANCE_HA = 5e-3

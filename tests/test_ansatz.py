@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from qpvqe.ansatz import (AnsatzCircuit, Rotation, apply_ansatz,
-                          apply_ansatz_inverse, build_uccgsd, circuit_unitary,
-                          expectation_objective, gradient, value_and_gradient)
+from qpvqe.ansatz import (AnsatzCircuit, Rotation, apply_ansatz, build_uccgsd,
+                          gradient, value_and_gradient)
 from qpvqe.fermion import enumerate_sz_excitations, number_operator, sz_operator
 from qpvqe.harness import load_hamiltonian
 from qpvqe.pauli import PauliString, PauliSum, expectation, to_matrix
@@ -11,7 +10,8 @@ from qpvqe.state_prep import (ReferenceSet, build_purified_prep,
                               default_weights, prepare_purified)
 from qpvqe.statevector import StateVector, init_basis
 
-from oracles import shifted_gradient
+from oracles import (apply_ansatz_inverse, circuit_unitary,
+                     expectation_objective, shifted_gradient)
 
 H2_HAM = "data/hamiltonians/h2_0.70.ham"
 

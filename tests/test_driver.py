@@ -3,9 +3,8 @@ import pytest
 
 from qpvqe.ansatz import build_uccgsd
 from qpvqe.driver import (AdamConfig, QpvqeConfig, attach_certificate,
-                          ensemble_energy, ensemble_energy_by_states,
-                          error_bound, extract_eigenpairs, optimize,
-                          symmetry_expectations)
+                          ensemble_energy, error_bound, extract_eigenpairs,
+                          optimize, symmetry_expectations)
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import exact_diagonalize, load_hamiltonian
 from qpvqe.pauli import PauliString, PauliSum
@@ -13,7 +12,7 @@ from qpvqe.state_prep import (ReferenceSet, WeightVector, build_purified_prep,
                               default_weights)
 from qpvqe.statevector import inner_product
 
-from oracles import kron_matrix
+from oracles import ensemble_energy_by_states, kron_matrix
 
 CHEMICAL_ACCURACY_HA = 1.6e-3
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpvqe.harness import (EDReference, HamiltonianFormatError,
-                           ed_residuals, exact_diagonalize,
+                           exact_diagonalize,
                            load_hamiltonian, parse_hamiltonian, parse_manifest,
                            parse_record, record_get, record_get_all,
                            sector_indices, serialize_hamiltonian, sz_value,
@@ -10,7 +10,7 @@ from qpvqe.harness import (EDReference, HamiltonianFormatError,
 from qpvqe.pauli import PauliString, PauliSum, paulisum_action, to_matrix
 
 from conftest import data_path
-from oracles import kron_matrix
+from oracles import ed_residuals, kron_matrix
 
 
 class TestParseHamiltonian:

@@ -5,8 +5,8 @@ from qpvqe.ansatz import build_uccgsd
 from qpvqe.driver import SpsaConfig, ensemble_energy
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.noise import (CalibrationError, DensityMatrix, ShotSampler,
-                         apply_kraus, apply_noisy_gate, channel_superoperator,
-                         depolarizing_kraus, embed_kraus,
+                         apply_noisy_gate, channel_superoperator,
+                         depolarizing_kraus,
                          load_calibration, noisy_ensemble_energy,
                          parse_calibration, spsa_optimize,
                          thermal_relaxation_kraus, totally_mixed_energy,
@@ -17,7 +17,7 @@ from qpvqe.statevector import (GateOp, gate_cnot, gate_controlled_ry,
                                gate_x)
 
 from conftest import data_path
-from oracles import gate_unitary, kron_matrix
+from oracles import apply_kraus, embed_kraus, gate_unitary, kron_matrix
 
 CAL_PATH = data_path("calibration", "ibmq_manila.cal")
 

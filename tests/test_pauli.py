@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpvqe.harness import load_hamiltonian, sector_indices
 from qpvqe.pauli import (DimensionMismatch, PauliString, PauliSum, StringPlan,
-                         add_simplify, expectation, multiply, pauli_action,
-                         to_matrix)
+                         add_simplify, expectation, matrix_diagonal, multiply,
+                         pauli_action, to_matrix)
 from qpvqe.statevector import StateVector, init_basis
 
+from conftest import data_path
 from oracles import kron_matrix
 
 
@@ -202,6 +204,25 @@ class TestCompiledForm:
             assert np.all(np.count_nonzero(images, axis=1) == 1)
             targets = np.argmax(np.abs(images), axis=1)
             assert np.all(targets ^ np.arange(dim) == plan.mask)
+
+    @given(hermitian_sums(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_diagonal_bit_identical_to_scatter(self, h, data):
+        dim = 1 << h.n_qubits
+        basis = data.draw(st.lists(st.integers(0, dim - 1), min_size=1,
+                                   max_size=dim, unique=True))
+        assert matrix_diagonal(h, basis).tobytes() == \
+            to_matrix(h, basis).diagonal().tobytes()
+
+    @pytest.mark.parametrize("name,sector", [("h2_0.70.ham", (2, 0.0)),
+                                             ("h4_0.90.ham", (4, 0.0)),
+                                             ("lih_1.60.ham", (2, 0.0))])
+    def test_diagonal_of_stored_hamiltonians(self, name, sector):
+        h = load_hamiltonian(data_path("hamiltonians", name))
+        for basis in (sector_indices(h.n_qubits, *sector),
+                      list(range(1 << h.n_qubits))):
+            assert matrix_diagonal(h, basis).tobytes() == \
+                to_matrix(h, basis).diagonal().tobytes()
 
 
 class TestPauliAction:

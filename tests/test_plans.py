@@ -19,8 +19,9 @@ from qpvqe.ansatz import (AnsatzCircuit, Rotation, apply_ansatz, build_uccgsd,
                           value_and_gradient)
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import exact_diagonalize, load_hamiltonian
-from qpvqe.pauli import (DENSE_BYTES_GUARD, PauliString, PauliSum,
-                         _sign_vector, check_dense_bytes, expectation,
+from qpvqe.pauli import (DENSE_BYTES_GUARD, SIGN_CACHE_SIZE, PauliString,
+                         PauliSum, StringPlan, _sign_vector,
+                         check_dense_bytes, expectation,
                          pauli_action, paulisum_action, to_matrix)
 from qpvqe.state_prep import (build_purified_prep, default_weights,
                               select_reference_determinants)
@@ -69,6 +70,23 @@ class TestSignVector:
         vec = _sign_vector(5, axes)
         assert vec.dtype == np.int8
         assert np.array_equal(vec, kron_sign_vector(5, axes))
+
+    def test_cache_stays_bounded_over_fresh_operators(self):
+        # Alternate operators on 10-12 qubits whose Z/Y axes are all
+        # distinct, more of them than the cache holds: it never grows past
+        # its bound, and every plan's signs equal a fresh, uncached build.
+        rng = np.random.default_rng(5)
+        fresh = _sign_vector.__wrapped__
+        for count in range(SIGN_CACHE_SIZE + 200):
+            n = 10 + count % 3
+            axes = tuple(int(q) for q in np.flatnonzero(rng.random(n) < 0.5))
+            string = PauliString.from_map(n, {q: "ZY"[q % 2] for q in axes})
+            if string.is_identity:
+                continue
+            plan = StringPlan(string, n)
+            assert plan.signs.tobytes() == fresh(n, axes).tobytes()
+            assert _sign_vector.cache_info().currsize <= SIGN_CACHE_SIZE
+        assert _sign_vector.cache_info().currsize == SIGN_CACHE_SIZE
 
 
 class TestStringKernels:

@@ -1,0 +1,297 @@
+"""The symmetry-screened adjoint sweep against the unscreened sweep and the
+string route, bit for bit.
+
+The screen skips rotations that anticommute with a Z2 symmetry of H while
+all of them sit at theta = 0.  Skipping is allowed only because their
+gradient terms are exact zeros, so every comparison here is ``tobytes``
+equality, never a tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import string_value_and_gradient
+from qpvqe import driver
+from qpvqe.ansatz import (AnsatzCircuit, Rotation, build_uccgsd,
+                          symmetry_screen, value_and_gradient)
+from qpvqe.driver import AdamConfig, QpvqeConfig, optimize
+from qpvqe.fermion import enumerate_sz_excitations
+from qpvqe.harness import load_hamiltonian
+from qpvqe.pauli import PauliString, PauliSum, z2_symmetries
+from qpvqe.state_prep import (build_purified_prep, default_weights,
+                              select_reference_determinants)
+from qpvqe.statevector import StateVector
+
+from conftest import data_path
+
+STORED = (("h2_0.70.ham", 2, (2, 0.0), 3, 20, 36),
+          ("h4_0.90.ham", 4, (4, 0.0), 3, 464, 936),
+          ("lih_1.60.ham", 5, (2, 0.0), 4, 1868, 2520))
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def x_mask(string, n):
+    """X/Y bit mask read off the letters (qubit 0 most significant)."""
+    return sum(1 << (n - 1 - q) for q, letter in string.items
+               if letter in ("X", "Y"))
+
+
+def anticommutes(string, z_mask, n):
+    return bin(x_mask(string, n) & z_mask).count("1") % 2 == 1
+
+
+def random_string(rng, n, non_identity=False):
+    while True:
+        letters = {q: "XYZ"[rng.integers(3)] for q in range(n)
+                   if rng.random() < 0.6}
+        if letters or not non_identity:
+            return PauliString.from_map(n, letters)
+
+
+def planted_problem(rng):
+    """A random H on <= 6 working qubits that commutes with 1-2 planted
+    Z-strings, a random circuit, and a purified-style initial state on up
+    to two extra label qubits, one or two basis states per label."""
+    n_work = int(rng.integers(2, 7))
+    n_label = int(rng.integers(0, 3))
+    n = n_work + n_label
+    planted = [int(rng.integers(1, 1 << n_work))
+               for _ in range(int(rng.integers(1, 3)))]
+    terms = {PauliString(n_work): float(rng.normal())}
+    for _ in range(200):
+        if len(terms) > 8:
+            break
+        string = random_string(rng, n_work)
+        if not any(anticommutes(string, v, n_work) for v in planted):
+            terms[string] = terms.get(string, 0.0) + float(rng.normal())
+    h = PauliSum(n_work, terms)
+
+    rotations = []
+    n_params = int(rng.integers(2, 6))
+    for _ in range(int(rng.integers(3, 10))):
+        rotations.append(Rotation(random_string(rng, n_work, True),
+                                  float(rng.normal()),
+                                  int(rng.integers(n_params))))
+    # Parameter 0 mixes a rotation that anticommutes with a planted
+    # symmetry and one that commutes with all, with negative coefficients
+    # so the screened term would be a -0.0.
+    v = planted[0]
+    for wanted in (True, False):
+        while True:
+            string = random_string(rng, n_work, True)
+            if anticommutes(string, v, n_work) == wanted and (
+                    wanted or not any(anticommutes(string, u, n_work)
+                                      for u in planted)):
+                break
+        rotations.insert(int(rng.integers(len(rotations) + 1)),
+                         Rotation(string, -abs(float(rng.normal())), 0))
+    circuit = AnsatzCircuit(n_work, tuple(rotations), n_params)
+
+    amps = np.zeros(1 << n, dtype=complex)
+    for label in range(1 << n_label):
+        det = int(rng.integers(1 << n_work))
+        amps[(det << n_label) | label] = rng.normal() + 1j * rng.normal()
+        if rng.random() < 0.5:
+            # a second basis state in the same eigenspace of every
+            # symmetry: the image of det under one term of H
+            string = list(terms)[int(rng.integers(len(terms)))]
+            partner = det ^ x_mask(string, n_work)
+            amps[(partner << n_label) | label] += rng.normal()
+    initial = StateVector(n, amps / np.linalg.norm(amps))
+    return h, circuit, initial
+
+
+def theta_cases(rng, screen, count):
+    """theta zero on all, some and none of each anticommuting set."""
+    zero = np.zeros(count)
+    zero[rng.random(count) < 0.5] = -0.0
+    cases = [zero]
+    for _ in range(3):
+        theta = rng.uniform(-1.0, 1.0, count)
+        for params, _ in screen:
+            if rng.random() < 0.5:
+                theta[params] = 0.0
+        cases.append(theta)
+    cases.append(rng.uniform(-1.0, 1.0, count))
+    return cases
+
+
+class TestScreenedSweep:
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_unscreened_and_string_route(self, seed):
+        rng = np.random.default_rng(seed)
+        h, circuit, initial = planted_problem(rng)
+        screen = symmetry_screen(circuit, h, initial)
+        # parameter 0 anticommutes with a planted symmetry of H
+        assert screen is not None
+        for theta in theta_cases(rng, screen, circuit.parameter_count):
+            screened = value_and_gradient(circuit, theta, h, initial, screen)
+            plain = value_and_gradient(circuit, theta, h, initial)
+            oracle = string_value_and_gradient(circuit, theta, h, initial)
+            assert same_bits(screened[0], plain[0])
+            assert same_bits(screened[1], plain[1])
+            assert same_bits(screened[1], oracle[1])
+            assert same_bits(screened[0], oracle[0])
+
+    def test_mixed_parameter_keeps_its_unscreened_rotation(self):
+        # X0 anticommutes with Z0, Z1 does not; both drive parameter 0.
+        n = 2
+        h = PauliSum(n, {PauliString.from_word(n, "Z0"): 0.7,
+                         PauliString.from_word(n, "X1"): 0.4})
+        circuit = AnsatzCircuit(n, (
+            Rotation(PauliString.from_word(n, "Y0"), -0.5, 0),
+            Rotation(PauliString.from_word(n, "Y1"), -0.25, 0)), 1)
+        initial = StateVector(n, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+        screen = symmetry_screen(circuit, h, initial)
+        assert [flags.tolist() for _, flags in screen] == [[True, False]]
+        for theta in (np.zeros(1), np.array([-0.0]), np.array([0.3])):
+            screened = value_and_gradient(circuit, theta, h, initial, screen)
+            oracle = string_value_and_gradient(circuit, theta, h, initial)
+            assert same_bits(screened[1], oracle[1])
+        assert screened[1][0] != 0.0
+
+
+class TestSymmetries:
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_null_space_of_random_sums(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        strings = [random_string(rng, n) for _ in range(int(rng.integers(8)))]
+        found = z2_symmetries([x_mask(s, n) for s in strings], n)
+        for v in found:
+            assert not any(anticommutes(s, v, n) for s in strings)
+        # the basis spans every commuting Z-string, each exactly once
+        commuting = [z for z in range(1 << n)
+                     if not any(anticommutes(s, z, n) for s in strings)]
+        span = {0}
+        for v in found:
+            span |= {z ^ v for z in span}
+        assert len(span) == 1 << len(found)
+        assert sorted(span) == commuting
+
+    @pytest.mark.parametrize("name,m_spatial,sector,n_sym,screened,total",
+                             STORED)
+    def test_stored_hamiltonians(self, name, m_spatial, sector, n_sym,
+                                 screened, total):
+        h = load_hamiltonian(data_path("hamiltonians", name))
+        found = z2_symmetries([x_mask(s, h.n_qubits) for s, _ in h.items()],
+                              h.n_qubits)
+        assert len(found) == n_sym
+        for v in found:
+            assert not any(anticommutes(s, v, h.n_qubits) for s, _ in h.items())
+        circuit = build_uccgsd(enumerate_sz_excitations(m_spatial))
+        refs = select_reference_determinants(h, sector[0], sector[1], 4)
+        initial = build_purified_prep(default_weights(4), refs).prepare()
+        screen = symmetry_screen(circuit, h, initial)
+        skipped = np.logical_or.reduce([flags for _, flags in screen])
+        assert (int(skipped.sum()), len(circuit.rotations)) == (screened, total)
+        # exactly the rotations that anticommute with a symmetry of H
+        for rot, skip in zip(circuit.rotations, skipped.tolist()):
+            assert skip == any(anticommutes(rot.string, v, h.n_qubits)
+                               for v in found)
+
+
+@pytest.fixture(scope="module")
+def h2_setup():
+    h = load_hamiltonian(data_path("hamiltonians", "h2_0.70.ham"))
+    circuit = build_uccgsd(enumerate_sz_excitations(2))
+    refs = select_reference_determinants(h, 2, 0.0, 4)
+    prep = build_purified_prep(default_weights(4), refs)
+    return h, circuit, prep
+
+
+class TestPremise:
+    def test_straddling_branch_gets_no_screen(self, h2_setup):
+        h, circuit, prep = h2_setup
+        clean = prep.prepare()
+        screen = symmetry_screen(circuit, h, clean)
+        assert screen is not None
+        # Copy label 0's amplitude onto the basis state with qubit 0
+        # flipped, which flips the particle-number parity: the branch now
+        # straddles two eigenspaces of that symmetry.
+        index = prep.mapped_indices()[0]
+        amps = clean.amplitudes.copy()
+        amps[index ^ (1 << (clean.n_qubits - 1))] = amps[index]
+        straddling = StateVector(clean.n_qubits, amps / np.linalg.norm(amps))
+        assert symmetry_screen(circuit, h, straddling) is None
+
+    def test_premise_matters(self):
+        # H = X0 X1 + Z0 Z1 has the one symmetry Z0 Z1, and Y0
+        # anticommutes with it.  On (|00> + |01>)/sqrt 2 the gradient at
+        # theta = 0 is 2 c <Z0 X1> = 1, which a screen would drop.
+        n = 2
+        h = PauliSum(n, {PauliString.from_word(n, "X0 X1"): 1.0,
+                         PauliString.from_word(n, "Z0 Z1"): 0.5})
+        circuit = AnsatzCircuit(n, (
+            Rotation(PauliString.from_word(n, "Y0"), 0.5, 0),), 1)
+        basis = StateVector(n, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+        straddling = StateVector(
+            n, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0))
+        screen = symmetry_screen(circuit, h, basis)
+        assert screen is not None
+        assert symmetry_screen(circuit, h, straddling) is None
+        theta = np.zeros(1)
+        plain = value_and_gradient(circuit, theta, h, straddling)[1]
+        wrong = value_and_gradient(circuit, theta, h, straddling, screen)[1]
+        assert plain[0] == pytest.approx(1.0) and wrong[0] == 0.0
+
+    def test_no_anticommuting_rotation_gets_no_screen(self, h2_setup):
+        h, _, prep = h2_setup
+        # Z strings commute with every Z2 symmetry.
+        circuit = AnsatzCircuit(4, (
+            Rotation(PauliString.from_word(4, "Z0 Z1"), 0.5, 0),), 1)
+        assert symmetry_screen(circuit, h, prep.prepare()) is None
+
+
+class TestDescent:
+    def run(self, monkeypatch, h2_setup, screened):
+        h, circuit, prep = h2_setup
+        calls = []
+        descents = []
+        real_vg = driver.value_and_gradient
+        real_descent = driver._adam_descent
+
+        def spy_vg(circuit, theta, h, initial, screen=None):
+            skips = any(not np.any(theta[params])
+                        for params, _ in screen or ())
+            calls.append((len(descents), screen is not None, skips))
+            return real_vg(circuit, theta, h, initial, screen)
+
+        def spy_descent(*args, **kwargs):
+            descents.append(kwargs["screen"])
+            return real_descent(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "value_and_gradient", spy_vg)
+            patch.setattr(driver, "_adam_descent", spy_descent)
+            # Force one saddle probe after the first descent.
+            patch.setattr(driver, "_is_ascending", lambda energies: False)
+            if not screened:
+                patch.setattr(driver, "symmetry_screen", lambda *a: None)
+            config = QpvqeConfig(k=4, max_iterations=40,
+                                 adam=AdamConfig(saddle_probes=1))
+            result = optimize(h, circuit, prep, config)
+        return result, calls, descents
+
+    def test_probe_descent_runs_unscreened(self, monkeypatch, h2_setup):
+        result, calls, descents = self.run(monkeypatch, h2_setup,
+                                           screened=True)
+        # one screen, built once by optimize, reaches both descents
+        assert len(descents) == 2 and descents[0] is descents[1]
+        first = [c for c in calls if c[0] == 1]
+        probe = [c for c in calls if c[0] == 2]
+        assert first and probe
+        assert all(has_screen and skips for _, has_screen, skips in first)
+        assert all(has_screen and not skips for _, has_screen, skips in probe)
+        plain, plain_calls, _ = self.run(monkeypatch, h2_setup,
+                                         screened=False)
+        assert not any(has_screen for _, has_screen, _ in plain_calls)
+        assert same_bits(result.theta_star, plain.theta_star)
+        assert same_bits(result.ensemble_trace, plain.ensemble_trace)
+        assert result.evaluations == plain.evaluations
