@@ -1,54 +1,48 @@
 #!/usr/bin/env python3
 """Noisy-gate H2 experiment: SPSA on the reduced two-double ansatz.
 
-Runs a seeded SPSA optimization of the ensemble energy under the device
-calibration noise model with 10^4 shots per term, then prints where the
-stabilized energy sits relative to the exact ensemble value and the
-totally mixed reference Tr(H)/2^n.
+Runs ``qpvqe noisy-run`` (seeded SPSA of the ensemble energy under the
+device calibration noise model, 10^4 shots per term) into a temporary
+record and trace, then prints where the stabilized energy sits relative
+to the exact ensemble value and the totally mixed reference Tr(H)/2^n.
 """
 
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qpvqe.ansatz import build_uccgsd  # noqa: E402
-from qpvqe.driver import SpsaConfig  # noqa: E402
-from qpvqe.fermion import enumerate_sz_excitations  # noqa: E402
-from qpvqe.harness import exact_diagonalize, load_hamiltonian  # noqa: E402
-from qpvqe.noise import (ShotSampler, load_calibration,  # noqa: E402
-                         noisy_ensemble_energy, spsa_optimize,
-                         totally_mixed_energy)
-from qpvqe.state_prep import (build_purified_prep, default_weights,  # noqa: E402
-                              select_reference_determinants)
+from qpvqe.cli import run_cli  # noqa: E402
+from qpvqe.harness import (exact_diagonalize, load_hamiltonian,  # noqa: E402
+                           parse_record, record_get)
+from qpvqe.state_prep import default_weights  # noqa: E402
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "..", "data")
 
 
 def main(seed=42, iterations=400, shots=10_000):
-    h = load_hamiltonian(os.path.join(DATA, "hamiltonians", "h2_0.70.ham"))
-    calib = load_calibration(os.path.join(DATA, "calibration",
-                                          "ibmq_manila.cal"))
-    gens = enumerate_sz_excitations(2, effective=["d:0,1,2,3", "d:0,3,1,2"])
-    circuit = build_uccgsd(gens)
-    weights = default_weights(4)
-    refs = select_reference_determinants(h, 2, 0.0, 4)
-    prep = build_purified_prep(weights, refs)
-    ed = exact_diagonalize(h, sector=(2, 0.0), k=4)
-    exact_ensemble = float(np.dot(weights.w, ed.energies))
-    mixed = totally_mixed_energy(h)
-
-    sampler = ShotSampler(shots=shots, rng=np.random.default_rng(seed))
-
-    def objective(theta):
-        return noisy_ensemble_energy(h, circuit, prep, theta, calib, sampler)
-
-    result = spsa_optimize(objective, np.zeros(circuit.parameter_count),
-                           SpsaConfig(), iterations, seed=seed)
-    trailing = float(np.mean(result.trace[-100:]))
+    hamiltonian = os.path.join(DATA, "hamiltonians", "h2_0.70.ham")
+    with tempfile.TemporaryDirectory() as tmp:
+        record = os.path.join(tmp, "noisy.rec")
+        trace = os.path.join(tmp, "trace.csv")
+        code = run_cli([
+            "noisy-run", "--hamiltonian", hamiltonian, "--calibration",
+            os.path.join(DATA, "calibration", "ibmq_manila.cal"),
+            "--sector", "2,0", "-k", "4", "--shots", str(shots),
+            "--iterations", str(iterations), "--seed", str(seed),
+            "--out", record, "--trace-out", trace])
+        if code:
+            return code
+        with open(record) as fh:
+            mixed = float(record_get(parse_record(fh.read()), "totally_mixed"))
+        values = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=1)
+    ed = exact_diagonalize(load_hamiltonian(hamiltonian), sector=(2, 0.0), k=4)
+    exact_ensemble = float(np.dot(default_weights(4).w, ed.energies))
+    trailing = float(np.mean(values[-100:]))
     print(f"exact ensemble          : {exact_ensemble:.6f} Ha")
     print(f"trailing-100 mean (SPSA): {trailing:.6f} Ha")
     print(f"totally mixed Tr(H)/2^n : {mixed:.6f} Ha")

@@ -9,7 +9,7 @@ density-matrix path (`noise`), and file/oracle tooling plus the CLI
 (`harness`, `cli`).
 """
 
-from .pauli import PauliString, PauliSum, PauliTerm, expectation, to_matrix
+from .pauli import PauliString, PauliSum, expectation, to_matrix
 from .statevector import GateOp, StateVector, init_basis
 from .fermion import (ExcitationGenerator, FermionTerm,
                       enumerate_sz_excitations, jordan_wigner)

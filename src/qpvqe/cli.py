@@ -22,13 +22,13 @@ from .ansatz import build_uccgsd
 from .driver import (AdamConfig, QpvqeConfig, SpectrumResult, SpsaConfig,
                      attach_certificate, optimize)
 from .fermion import enumerate_sz_excitations
-from .harness import (EDReference, exact_diagonalize, format_float,
+from .harness import (exact_diagonalize, format_float,
                       load_hamiltonian, load_manifest, parse_record,
                       record_get, record_get_all, write_record)
 from .noise import (ShotSampler, load_calibration, noisy_ensemble_energy,
                     spsa_optimize, totally_mixed_energy)
 from .observables import (energy_gap, gap_from_full_purified, prepare_pair,
-                          transition_amplitude)
+                          supported_projector_pairs, transition_amplitude)
 from .pauli import PauliSum
 from .state_prep import (ReferenceSet, WeightVector, build_purified_prep,
                          default_weights, select_reference_determinants)
@@ -63,8 +63,7 @@ def _setup_problem(hamiltonian_path: str, sector: Tuple[int, float], k: int,
 
 
 def _result_record(args, h: PauliSum, refs: ReferenceSet,
-                   weights: WeightVector, result: SpectrumResult,
-                   ed: Optional[EDReference], seed: int,
+                   weights: WeightVector, result: SpectrumResult, seed: int,
                    excitations: Optional[Sequence[str]]) -> str:
     fields: List[Tuple[str, str]] = [
         ("kind", "spectrum_result"),
@@ -97,17 +96,28 @@ def _result_record(args, h: PauliSum, refs: ReferenceSet,
     return write_record(fields)
 
 
-def _load_result(path: str):
-    with open(path) as fh:
+def _load_readout(args):
+    """Hamiltonian, circuit, references, theta* and pairs of a gaps or
+    amplitudes command, from its result record."""
+    with open(args.result) as fh:
         fields = parse_record(fh.read())
     if record_get(fields, "kind") != "spectrum_result":
-        raise ValueError(f"{path} is not a spectrum_result record")
+        raise ValueError(f"{args.result} is not a spectrum_result record")
+    ham_path = args.hamiltonian or record_get(fields, "hamiltonian")
+    h = load_hamiltonian(ham_path)
+    recorded = int(record_get(fields, "n_qubits"))
+    if h.n_qubits != recorded:
+        raise ValueError(f"{ham_path} acts on {h.n_qubits} qubits but "
+                         f"{args.result} was run on {recorded}")
+    circuit = build_uccgsd(enumerate_sz_excitations(
+        h.n_qubits // 2, effective=record_get_all(fields, "excitation") or None))
     refs = ReferenceSet(tuple(record_get_all(fields, "ref")))
     theta = np.array([float(t) for t in record_get(fields, "theta").split()])
-    excitations = record_get_all(fields, "excitation") or None
     k = int(record_get(fields, "k"))
-    hamiltonian = record_get(fields, "hamiltonian")
-    return refs, theta, excitations, k, hamiltonian
+    pairs = ([tuple(int(x) for x in p.split(",")) for p in args.pairs]
+             if args.pairs else
+             [(i, j) for i in range(k) for j in range(i + 1, k)])
+    return h, circuit, refs, theta, pairs
 
 
 def cmd_run(args) -> int:
@@ -115,15 +125,14 @@ def cmd_run(args) -> int:
     sector = _parse_sector(args.sector)
     h, circuit, refs, weights, prep = _setup_problem(
         args.hamiltonian, sector, args.k, args.excitations)
-    config = QpvqeConfig(k=args.k, max_iterations=args.max_iterations,
+    config = QpvqeConfig(max_iterations=args.max_iterations,
                          convergence_threshold=args.threshold, seed=seed,
                          adam=AdamConfig(lr=args.lr))
     result = optimize(h, circuit, prep, config)
-    ed = None
     if not args.no_ed:
         ed = exact_diagonalize(h, sector=sector, k=args.k)
         attach_certificate(result, weights, ed.energies)
-    record = _result_record(args, h, refs, weights, result, ed, seed,
+    record = _result_record(args, h, refs, weights, result, seed,
                             args.excitations)
     if args.out:
         with open(args.out, "w") as fh:
@@ -140,7 +149,7 @@ def _sweep_point(label: str, path: str, sector: Tuple[int, float], k: int,
                  max_iterations: int, threshold: float,
                  seed: int) -> List[str]:
     h, circuit, refs, weights, prep = _setup_problem(path, sector, k)
-    config = QpvqeConfig(k=k, max_iterations=max_iterations,
+    config = QpvqeConfig(max_iterations=max_iterations,
                          convergence_threshold=threshold, seed=seed)
     result = optimize(h, circuit, prep, config)
     ed = exact_diagonalize(h, sector=sector, k=k)
@@ -202,15 +211,8 @@ def cmd_ed(args) -> int:
 
 
 def cmd_gaps(args) -> int:
-    refs, theta, excitations, k, ham_path = _load_result(args.result)
-    h = load_hamiltonian(args.hamiltonian or ham_path)
-    circuit = build_uccgsd(enumerate_sz_excitations(h.n_qubits // 2,
-                                                    effective=excitations))
-    pairs = ([tuple(int(x) for x in p.split(",")) for p in args.pairs]
-             if args.pairs else
-             [(i, j) for i in range(k) for j in range(i + 1, k)])
-    from .observables import supported_projector_pairs
-    projector_pairs = supported_projector_pairs(k)
+    h, circuit, refs, theta, pairs = _load_readout(args)
+    projector_pairs = supported_projector_pairs(refs.k)
     print("i,j,gap_ha")
     for i, j in pairs:
         pair = prepare_pair(circuit, theta, refs, i, j)
@@ -223,14 +225,8 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_amplitudes(args) -> int:
-    refs, theta, excitations, k, ham_path = _load_result(args.result)
-    h = load_hamiltonian(args.hamiltonian or ham_path)
+    h, circuit, refs, theta, pairs = _load_readout(args)
     obs = load_hamiltonian(args.observable) if args.observable else h
-    circuit = build_uccgsd(enumerate_sz_excitations(h.n_qubits // 2,
-                                                    effective=excitations))
-    pairs = ([tuple(int(x) for x in p.split(",")) for p in args.pairs]
-             if args.pairs else
-             [(i, j) for i in range(k) for j in range(i + 1, k)])
     print("i,j,re,im")
     for i, j in pairs:
         pair = prepare_pair(circuit, theta, refs, i, j)

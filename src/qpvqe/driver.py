@@ -20,8 +20,7 @@ import numpy as np
 from .ansatz import (AnsatzCircuit, SymmetryScreen, apply_ansatz,
                      symmetry_screen, value_and_gradient)
 from .pauli import PauliSum, expectation
-from .state_prep import (PurifiedPrep, ReferenceSet, WeightVector,
-                         default_weights)
+from .state_prep import PurifiedPrep, ReferenceSet, WeightVector
 from .statevector import StateVector, init_basis
 from .fermion import number_operator, sz_operator
 
@@ -72,27 +71,17 @@ class SpsaConfig:
 
 @dataclass(frozen=True)
 class QpvqeConfig:
-    k: int = 4
-    weights: Optional[WeightVector] = None
+    """Settings of one noiseless optimization.  K and the weights come from
+    the purified preparation passed to ``optimize``."""
+
     adam: AdamConfig = field(default_factory=AdamConfig)
-    spsa: SpsaConfig = field(default_factory=SpsaConfig)
     max_iterations: int = 5000
     convergence_threshold: float = DEFAULT_THRESHOLD_HA
     seed: int = 0
-    effective_excitations: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("K must be at least 1")
         if self.convergence_threshold <= 0:
             raise ValueError("convergence threshold must be positive")
-
-    def resolved_weights(self) -> WeightVector:
-        if self.weights is not None:
-            if len(self.weights) != self.k:
-                raise ValueError("weights length disagrees with K")
-            return self.weights
-        return default_weights(self.k)
 
 
 @dataclass
@@ -113,9 +102,7 @@ class SpectrumResult:
 def ensemble_energy(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
                     theta: Sequence[float]) -> float:
     """<Phi(w)| [U^dag H U] (x) 1 |Phi(w)> via one expectation."""
-    state = prep.prepare()
-    apply_ansatz(circuit, theta, state)
-    return expectation(h, state)
+    return _energy_only(circuit, theta, h, prep.prepare())
 
 
 def _window_spread(trace: List[float], window: int) -> float:
@@ -123,7 +110,7 @@ def _window_spread(trace: List[float], window: int) -> float:
     return max(tail) - min(tail)
 
 
-def _energy_only(circuit: AnsatzCircuit, theta: np.ndarray, h: PauliSum,
+def _energy_only(circuit: AnsatzCircuit, theta: Sequence[float], h: PauliSum,
                  initial: StateVector) -> float:
     state = initial.copy()
     apply_ansatz(circuit, theta, state)
@@ -285,12 +272,7 @@ def error_bound(energies: Sequence[float], weights: WeightVector,
     e_w = float(np.dot(weights.w, energies - exact))
     if e_w < -1e-10:
         raise AssertionError(f"e_w = {e_w:.3e} < 0: variational chain broken")
-    if len(weights) == 1:
-        bound = 2.0 * e_w / weights.w[0]
-    else:
-        gaps = [abs(weights.w[i] - weights.w[j])
-                for i in range(len(weights)) for j in range(i + 1, len(weights))]
-        bound = 2.0 * e_w / min(gaps)
+    bound = 2.0 * e_w / weights.min_gap()
     total_err = float(np.sum(np.abs(energies - exact)))
     if total_err > bound + 1e-10:
         raise AssertionError(

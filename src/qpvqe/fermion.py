@@ -140,7 +140,6 @@ def parse_excitation_label(label: str) -> Tuple[str, Tuple[int, ...]]:
 
 def enumerate_sz_excitations(
         m_spatial: int,
-        include_doubles: bool = True,
         effective: Optional[Sequence[str]] = None) -> List[ExcitationGenerator]:
     """Generalized S_z-preserving excitation generators over 2M spin-orbitals.
 
@@ -187,12 +186,11 @@ def enumerate_sz_excitations(
         for q in range(p + 1, m_spatial):
             generators.append(build("single", (p, q), param))
             param += 1
-    if include_doubles:
-        pairs = [(p, q) for p in range(n_modes) for q in range(p + 1, n_modes)]
-        for i, (p, q) in enumerate(pairs):
-            for (r, s) in pairs[i + 1:]:
-                if spin_of(p) + spin_of(q) != spin_of(r) + spin_of(s):
-                    continue
-                generators.append(build("double", (p, q, r, s), param))
-                param += 1
+    pairs = [(p, q) for p in range(n_modes) for q in range(p + 1, n_modes)]
+    for i, (p, q) in enumerate(pairs):
+        for (r, s) in pairs[i + 1:]:
+            if spin_of(p) + spin_of(q) != spin_of(r) + spin_of(s):
+                continue
+            generators.append(build("double", (p, q, r, s), param))
+            param += 1
     return generators

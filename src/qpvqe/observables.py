@@ -5,6 +5,12 @@ significant) qubit: (U|D_i>|0> + U|D_j>|1>)/sqrt(2).  They use exact 1/2
 branch weights on purpose; the strict-decrease rule on WeightVector is an
 optimization-stage requirement, so measurement states get their own
 constructors here and cannot be fed back into the optimizer.
+
+Every readout is <Psi| O (x) A |Psi>, O on the working register and A a
+small sum on the ancillas.  ``pauli.product_expectation`` sums
+c_h c_a <Psi| P_h (P_a Psi)> on O's own cached plans, O-major and A-minor:
+the order in which the product O (x) A lists its terms, so every value is
+bit-identical to measuring the product, which is never formed.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .ansatz import AnsatzCircuit, apply_ansatz
-from .pauli import PauliString, PauliSum, expectation
+from .pauli import PauliString, PauliSum, product_expectation
 from .state_prep import ReferenceSet, isometry_network
 from .statevector import (StateVector, apply_gate, gate_ry, run_program)
 
@@ -27,12 +33,9 @@ class PairState:
     j: int
 
 
-def _with_ancilla_factor(h: PauliSum, n_total: int, n_working: int,
-                         ancilla_ops: Sequence[Tuple[int, str]]) -> PauliSum:
-    """H on the working register times single-qubit Paulis on ancillas."""
-    anc = PauliSum(n_total, {PauliString.from_map(
-        n_total, {n_working + a: letter for a, letter in ancilla_ops}): 1.0})
-    return h.embed(n_total) * anc
+def _ancilla_pauli(n_total: int, qubit: int, letter: str) -> PauliSum:
+    """One Pauli letter on ``qubit`` of an ``n_total``-qubit register."""
+    return PauliSum(n_total, {PauliString.from_map(n_total, {qubit: letter}): 1.0})
 
 
 def ancilla_projector(n_total: int, qubit: int, sign: int) -> PauliSum:
@@ -61,20 +64,17 @@ def prepare_pair(circuit: AnsatzCircuit, theta_star: Sequence[float],
 
 def energy_gap(pair: PairState, h: PauliSum) -> float:
     """eps_i - eps_j = 2 <Psi_ij| H (x) Z_a |Psi_ij>."""
-    op = _with_ancilla_factor(h, pair.n_working + 1, pair.n_working,
-                              [(0, "Z")])
-    return 2.0 * expectation(op, pair.state)
+    z = _ancilla_pauli(pair.n_working + 1, pair.n_working, "Z")
+    return 2.0 * product_expectation(h, z, pair.state)
 
 
 def transition_amplitude(pair: PairState, obs: PauliSum) -> complex:
     """<eps_i| O |eps_j>: real part from O (x) X_a, imaginary from O (x) Y_a."""
     if not obs.is_hermitian():
         raise ValueError("transition amplitudes need a Hermitian observable")
-    n_total = pair.n_working + 1
-    real = expectation(_with_ancilla_factor(obs, n_total, pair.n_working,
-                                            [(0, "X")]), pair.state)
-    imag = expectation(_with_ancilla_factor(obs, n_total, pair.n_working,
-                                            [(0, "Y")]), pair.state)
+    real, imag = (product_expectation(
+        obs, _ancilla_pauli(pair.n_working + 1, pair.n_working, letter),
+        pair.state) for letter in "XY")
     return complex(real, imag)
 
 
@@ -112,29 +112,26 @@ def _equal_branch_state(circuit: AnsatzCircuit, theta_star: Sequence[float],
     return state
 
 
-def pair_projector_operator(h: PauliSum, n_working: int, k: int,
-                            pair: Tuple[int, int]) -> Tuple[PauliSum, float]:
-    """Measurement operator and rescale factor for one gap on the
-    equal-branch state."""
+def pair_projector_operator(n_working: int, k: int, pair: Tuple[int, int]
+                            ) -> Tuple[PauliSum, float]:
+    """Ancilla operator A and rescale factor of one gap on the equal-branch
+    state: the gap is scale * <H (x) A>."""
+    pair = tuple(pair)
     if k == 2:
-        if tuple(pair) != (0, 1):
+        if pair != (0, 1):
             raise ValueError("K=2 supports only the (0, 1) gap")
-        op = _with_ancilla_factor(h, n_working + 1, n_working, [(0, "Z")])
-        return op, 2.0
+        return _ancilla_pauli(n_working + 1, n_working, "Z"), 2.0
     if k == 4:
-        if tuple(pair) not in _SUPPORTED_PAIRS_K4:
+        if pair not in _SUPPORTED_PAIRS_K4:
             raise ValueError(f"unsupported pair {pair} for K=4")
         n_total = n_working + 2
-        if pair == (0, 1):
-            anc = (PauliSum(n_total, {PauliString.from_map(n_total, {n_working: "Z"}): 1.0})
-                   * ancilla_projector(n_total, n_working + 1, +1))
-        elif pair == (2, 3):
-            anc = (PauliSum(n_total, {PauliString.from_map(n_total, {n_working: "Z"}): 1.0})
-                   * ancilla_projector(n_total, n_working + 1, -1))
-        else:  # (0, 2)
+        if pair == (0, 2):
             anc = (ancilla_projector(n_total, n_working, +1)
-                   * PauliSum(n_total, {PauliString.from_map(n_total, {n_working + 1: "Z"}): 1.0}))
-        return h.embed(n_total) * anc, 4.0
+                   * _ancilla_pauli(n_total, n_working + 1, "Z"))
+        else:  # (0, 1) and (2, 3)
+            anc = (_ancilla_pauli(n_total, n_working, "Z") * ancilla_projector(
+                n_total, n_working + 1, +1 if pair == (0, 1) else -1))
+        return anc, 4.0
     raise ValueError("projector gaps are implemented for K in {2, 4}")
 
 
@@ -143,11 +140,11 @@ def gap_from_full_purified(circuit: AnsatzCircuit, theta_star: Sequence[float],
                            pair: Tuple[int, int]) -> float:
     """Gap eps_i - eps_j measured on the equal-branch K-way state."""
     k = refs.k
-    op, scale = pair_projector_operator(h, refs.n_qubits, k, tuple(pair))
+    anc, scale = pair_projector_operator(refs.n_qubits, k, pair)
     if k == 2:
         labels: Sequence[int] = (0, 1)
     else:
         # bit-reversed two-bit labels: j -> (j & 1) << 1 | (j >> 1)
         labels = tuple(((j & 1) << 1) | (j >> 1) for j in range(4))
     state = _equal_branch_state(circuit, theta_star, refs, labels)
-    return scale * expectation(op, state)
+    return scale * product_expectation(h, anc, state)

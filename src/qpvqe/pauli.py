@@ -154,18 +154,6 @@ def multiply(a: PauliString, b: PauliString) -> Tuple[complex, PauliString]:
     return _I_POWERS[ipow], PauliString(a.n_qubits, tuple(out))
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """One weighted Pauli string."""
-
-    coefficient: complex
-    string: PauliString
-
-    def __post_init__(self):
-        if not np.isfinite(self.coefficient):
-            raise ValueError("coefficient must be finite")
-
-
 class PauliSum:
     """Simplified weighted sum of Pauli strings on a fixed register.
 
@@ -258,10 +246,6 @@ class PauliSum:
 
     def is_anti_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return all(abs(c.real) <= tol for c in self._terms.values())
-
-    def embed(self, n_qubits: int) -> "PauliSum":
-        return PauliSum(n_qubits,
-                        {s.embed(n_qubits): c for s, c in self._terms.items()})
 
     def sorted_terms(self) -> list:
         return sorted(self._terms.items(), key=lambda kv: kv[0].items)
@@ -424,18 +408,44 @@ def expectation(h: PauliSum, psi) -> float:
     Hermitian, psi is not normalized, or the imaginary residue exceeds
     tolerance.
     """
+    return _summed_expectation(h, psi, ((1.0, _checked_tensor(h, psi)),))
+
+
+def product_expectation(h: PauliSum, a: PauliSum, psi) -> float:
+    """Real <psi| H (x) A |psi> without forming the product operator.
+
+    A is a Hermitian sum on psi's whole register that acts on qubits H
+    leaves alone (the ancillas of a readout state).  The sum runs over
+    c_h c_a <psi| P_h (P_a psi)> on H's own cached plans, H-major and
+    A-minor: the order in which ``H * A`` lists its terms, so the value is
+    bit-identical to ``expectation`` of the product.
+    """
+    tensor = _checked_tensor(h, psi)
+    if not a.is_hermitian():
+        raise ValueError("expectation requires a Hermitian PauliSum")
+    return _summed_expectation(h, psi, tuple(
+        (coeff, plan.act(tensor)) for coeff, plan in a.plans(psi.n_qubits)))
+
+
+def _checked_tensor(h: PauliSum, psi) -> np.ndarray:
     if not h.is_hermitian():
         raise ValueError("expectation requires a Hermitian PauliSum")
     if h.n_qubits > psi.n_qubits:
         raise DimensionMismatch("operator larger than state register")
-    amps = psi.amplitudes
-    norm = np.linalg.norm(amps)
+    norm = np.linalg.norm(psi.amplitudes)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    tensor = amps.reshape((2,) * psi.n_qubits)
+    return psi.amplitudes.reshape((2,) * psi.n_qubits)
+
+
+def _summed_expectation(h: PauliSum, psi, branches) -> float:
+    """Sum of c_h c_a <psi|P_h|phi_a> over H's terms, then the
+    (c_a, phi_a) branches, with the imaginary residue checked."""
+    amps = psi.amplitudes
     value = 0.0 + 0.0j
     for coeff, plan in h.plans(psi.n_qubits):
-        value += coeff * np.vdot(amps, plan.act(tensor))
+        for scale, phi in branches:
+            value += coeff * scale * np.vdot(amps, plan.act(phi))
     if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise ValueError(f"imaginary residue {value.imag:.3e} above tolerance")
     return float(value.real)

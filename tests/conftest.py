@@ -30,7 +30,7 @@ class Problem:
         self.weights = default_weights(k)
         self.prep = build_purified_prep(self.weights, self.refs)
         self.ed = exact_diagonalize(self.h, sector=sector, k=k)
-        self.config = QpvqeConfig(k=k, max_iterations=max_iterations)
+        self.config = QpvqeConfig(max_iterations=max_iterations)
 
     def optimize(self):
         return optimize(self.h, self.circuit, self.prep, self.config)

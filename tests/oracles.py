@@ -5,8 +5,9 @@ import math
 import numpy as np
 
 from qpvqe.ansatz import apply_ansatz, parameter_vector
-from qpvqe.pauli import (PauliSum, _I_POWERS, _string_axes, expectation,
-                         paulisum_action)
+from qpvqe.observables import _equal_branch_state, ancilla_projector
+from qpvqe.pauli import (PauliString, PauliSum, _I_POWERS, _string_axes,
+                         expectation, paulisum_action)
 from qpvqe.statevector import (GateOp, StateVector, apply_gate,
                                apply_pauli_exponential, init_basis)
 
@@ -246,3 +247,62 @@ def ed_residuals(h, ref):
         out.append(np.linalg.norm(paulisum_action(h, h.n_qubits, v)
                                   - ref.energies[j] * v))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# The operator-product readout route: H re-embedded on the measurement
+# register and multiplied by the ancilla factor with ``PauliSum.__mul__``,
+# then one ``expectation`` of the product.  The library measures the same
+# sums without forming the product; its values must equal these bit for bit.
+# ---------------------------------------------------------------------------
+
+def embedded(h, n_qubits):
+    """H's strings and coefficients on a register of ``n_qubits``."""
+    return PauliSum(n_qubits, {s.embed(n_qubits): c for s, c in h.items()})
+
+
+def with_ancilla_factor(h, n_total, n_working, ancilla_ops):
+    """H on the working register times single-qubit Paulis on ancillas."""
+    anc = PauliSum(n_total, {PauliString.from_map(
+        n_total, {n_working + a: letter for a, letter in ancilla_ops}): 1.0})
+    return embedded(h, n_total) * anc
+
+
+def product_energy_gap(pair, h):
+    op = with_ancilla_factor(h, pair.n_working + 1, pair.n_working, [(0, "Z")])
+    return 2.0 * expectation(op, pair.state)
+
+
+def product_transition_amplitude(pair, obs):
+    n_total = pair.n_working + 1
+    real = expectation(with_ancilla_factor(obs, n_total, pair.n_working,
+                                           [(0, "X")]), pair.state)
+    imag = expectation(with_ancilla_factor(obs, n_total, pair.n_working,
+                                           [(0, "Y")]), pair.state)
+    return complex(real, imag)
+
+
+def product_projector_operator(h, n_working, k, pair):
+    """H (x) A and the rescale factor of one equal-branch gap."""
+    if k == 2:
+        return with_ancilla_factor(h, n_working + 1, n_working, [(0, "Z")]), 2.0
+    n_total = n_working + 2
+
+    def z(qubit):
+        return PauliSum(n_total, {PauliString.from_map(n_total, {qubit: "Z"}): 1.0})
+
+    if pair == (0, 1):
+        anc = z(n_working) * ancilla_projector(n_total, n_working + 1, +1)
+    elif pair == (2, 3):
+        anc = z(n_working) * ancilla_projector(n_total, n_working + 1, -1)
+    else:
+        anc = ancilla_projector(n_total, n_working, +1) * z(n_working + 1)
+    return embedded(h, n_total) * anc, 4.0
+
+
+def product_gap_from_full_purified(circuit, theta, refs, h, pair):
+    op, scale = product_projector_operator(h, refs.n_qubits, refs.k, pair)
+    labels = ((0, 1) if refs.k == 2 else
+              tuple(((j & 1) << 1) | (j >> 1) for j in range(4)))
+    state = _equal_branch_state(circuit, theta, refs, labels)
+    return scale * expectation(op, state)

@@ -6,10 +6,12 @@ import sys
 import pytest
 
 from qpvqe.cli import run_cli
+from qpvqe.pauli import PauliSum
 
 from conftest import data_path
 
 H2 = data_path("hamiltonians", "h2_0.70.ham")
+H4 = data_path("hamiltonians", "h4_0.90.ham")
 CAL = data_path("calibration", "ibmq_manila.cal")
 
 
@@ -85,6 +87,49 @@ class TestRunAndConsumers:
         for row in rows:
             assert abs(complex(float(row["re"]), float(row["im"]))) < 1e-3
 
+
+    @pytest.mark.parametrize("command", ["gaps", "amplitudes"])
+    def test_readout_builds_no_operator_products(self, record_path, capsys,
+                                                 monkeypatch, command):
+        products, compiled = [], []
+        real_mul, real_plans = PauliSum.__mul__, PauliSum.plans
+
+        def spy_mul(self, other):
+            if isinstance(other, PauliSum):
+                products.append((len(self), len(other)))
+            return real_mul(self, other)
+
+        def spy_plans(self, n_qubits):
+            if n_qubits not in self._plans and len(self) > 4:
+                compiled.append((id(self), n_qubits))
+            return real_plans(self, n_qubits)
+
+        monkeypatch.setattr(PauliSum, "__mul__", spy_mul)
+        monkeypatch.setattr(PauliSum, "plans", spy_plans)
+        code, out = invoke([command, "--result", record_path, "--projector"]
+                           if command == "gaps" else
+                           [command, "--result", record_path], capsys)
+        assert code == 0 and len(out.splitlines()) > 6
+        assert all(max(sizes) <= 4 for sizes in products), products
+        # H's 15 strings, compiled once for the 5-qubit pair register and,
+        # for projector gaps, once for the 6-qubit equal-branch register.
+        assert len({key for key, _ in compiled}) == 1
+        assert [n for _, n in compiled] == ([5, 6] if command == "gaps"
+                                             else [5])
+
+
+@pytest.mark.parametrize("command", ["gaps", "amplitudes"])
+def test_readout_refuses_hamiltonian_of_other_size(command, tmp_path,
+                                                   capsys):
+    record = str(tmp_path / "h4.rec")
+    assert run_cli(["run", "--hamiltonian", H4, "--sector", "4,0", "-k", "4",
+                    "--excitations", "d:0,1,2,3", "d:0,3,1,2",
+                    "--max-iterations", "5", "--no-ed", "--out", record]) == 0
+    capsys.readouterr()
+    assert run_cli([command, "--result", record, "--hamiltonian", H2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert H2 in captured.err and record in captured.err
 
 class TestSweep:
     def test_two_point_sweep_csv(self, tmp_path, capsys):

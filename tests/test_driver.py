@@ -67,7 +67,7 @@ class TestOptimize:
         p = h2_problem
         refs = ReferenceSet((p.refs.determinants[0],))
         prep = build_purified_prep(default_weights(1), refs)
-        config = QpvqeConfig(k=1, max_iterations=3000)
+        config = QpvqeConfig(max_iterations=3000)
         result = optimize(p.h, p.circuit, prep, config)
         assert abs(result.energies[0] - p.ed.energies[0]) \
             <= CHEMICAL_ACCURACY_HA
@@ -158,12 +158,3 @@ class TestConfig:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             QpvqeConfig(convergence_threshold=0.0)
-
-    def test_rejects_k0(self):
-        with pytest.raises(ValueError):
-            QpvqeConfig(k=0)
-
-    def test_weights_length_checked(self):
-        cfg = QpvqeConfig(k=3, weights=default_weights(4))
-        with pytest.raises(ValueError):
-            cfg.resolved_weights()

@@ -17,7 +17,8 @@ from qpvqe.statevector import (GateOp, gate_cnot, gate_controlled_ry,
                                gate_x)
 
 from conftest import data_path
-from oracles import apply_kraus, embed_kraus, gate_unitary, kron_matrix
+from oracles import (apply_kraus, embed_kraus, embedded, gate_unitary,
+                     kron_matrix)
 
 CAL_PATH = data_path("calibration", "ibmq_manila.cal")
 
@@ -205,7 +206,8 @@ class TestChannels:
                                 for q in qubits})
                 terms[string] = terms.get(string, 0.0) + float(rng.normal())
             op = PauliSum(op_qubits, terms)
-            dense = np.einsum("ij,ji->", kron_matrix(op.embed(n)), rho.matrix)
+            dense = np.einsum("ij,ji->", kron_matrix(embedded(op, n)),
+                              rho.matrix)
             assert rho.expectation(op) == pytest.approx(dense.real, abs=1e-12)
         with pytest.raises(DimensionMismatch):
             rho.expectation(PauliSum.identity(n + 1))

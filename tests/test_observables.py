@@ -1,12 +1,25 @@
+import os
+
 import numpy as np
 import pytest
 
-from qpvqe.fermion import FermionTerm, jordan_wigner_sum
-from qpvqe.observables import (PairState, ancilla_projector, energy_gap,
+from qpvqe.ansatz import build_uccgsd
+from qpvqe.fermion import (FermionTerm, enumerate_sz_excitations,
+                           jordan_wigner_sum)
+from qpvqe.harness import (load_hamiltonian, parse_record, record_get,
+                           record_get_all)
+from qpvqe.observables import (ancilla_projector, energy_gap,
                                gap_from_full_purified, pair_projector_operator,
                                prepare_pair, supported_projector_pairs,
                                transition_amplitude)
 from qpvqe.pauli import PauliString, PauliSum, paulisum_action, to_matrix
+from qpvqe.state_prep import ReferenceSet
+
+from conftest import data_path
+from oracles import (product_energy_gap, product_gap_from_full_purified,
+                     product_transition_amplitude)
+
+BENCH_DATA = os.path.join(os.path.dirname(__file__), "..", "bench", "data")
 
 
 @pytest.fixture(scope="module")
@@ -93,9 +106,9 @@ class TestProjectorGaps:
 
     def test_unsupported_pair_rejected(self, h2_problem):
         with pytest.raises(ValueError):
-            pair_projector_operator(h2_problem.h, 4, 4, (1, 3))
+            pair_projector_operator(4, 4, (1, 3))
         with pytest.raises(ValueError):
-            pair_projector_operator(h2_problem.h, 4, 3, (0, 1))
+            pair_projector_operator(4, 3, (0, 1))
 
     def test_all_degenerate_gaps_vanish(self, h2_problem, h2_result):
         p = h2_problem
@@ -153,3 +166,56 @@ class TestTransitionAmplitudes:
         bad = PauliSum(4, {PauliString.from_word(4, "X0"): 1.0j})
         with pytest.raises(ValueError):
             transition_amplitude(pair, bad)
+
+
+def hex_parts(value):
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.fixture(scope="module", params=["h2", "lih"])
+def readout_problem(request, hopping_observable):
+    """(H, observable, circuit, refs, theta*) of the H2 fixture's run or of
+    the stored LiH record, read as the readout commands read it."""
+    if request.param == "h2":
+        p = request.getfixturevalue("h2_problem")
+        theta = request.getfixturevalue("h2_result").theta_star
+        return p.h, hopping_observable, p.circuit, p.refs, theta
+    with open(os.path.join(BENCH_DATA, "lih_1.60.rec")) as fh:
+        fields = parse_record(fh.read())
+    h = load_hamiltonian(data_path("hamiltonians", "lih_1.60.ham"))
+    circuit = build_uccgsd(enumerate_sz_excitations(
+        h.n_qubits // 2, effective=record_get_all(fields, "excitation") or None))
+    theta = np.array([float(t) for t in record_get(fields, "theta").split()])
+    refs = ReferenceSet(tuple(record_get_all(fields, "ref")))
+    hopping = load_hamiltonian(os.path.join(BENCH_DATA, "hopping.ham"))
+    return h, hopping, circuit, refs, theta
+
+
+class TestProductFreeReadout:
+    """The readouts measure O (x) A on O's own plans; the operator-product
+    route in ``oracles`` is the reference, equal to the last bit."""
+
+    def test_pair_readouts_equal_product_route(self, readout_problem):
+        h, obs, circuit, refs, theta = readout_problem
+        for i in range(refs.k):
+            for j in range(refs.k):
+                if i == j:
+                    continue
+                pair = prepare_pair(circuit, theta, refs, i, j)
+                assert hex_parts(energy_gap(pair, h)) == \
+                    hex_parts(product_energy_gap(pair, h)), (i, j)
+                for o in (h, obs):
+                    assert hex_parts(transition_amplitude(pair, o)) == \
+                        hex_parts(product_transition_amplitude(pair, o)), (i, j)
+
+    def test_projector_gaps_equal_product_route(self, readout_problem):
+        h, _, circuit, refs, theta = readout_problem
+        for pair in sorted(supported_projector_pairs(refs.k)):
+            assert hex_parts(gap_from_full_purified(
+                circuit, theta, refs, h, pair)) == hex_parts(
+                product_gap_from_full_purified(circuit, theta, refs, h, pair))
+        two = ReferenceSet(refs.determinants[:2])
+        assert hex_parts(gap_from_full_purified(
+            circuit, theta, two, h, (0, 1))) == hex_parts(
+            product_gap_from_full_purified(circuit, theta, two, h, (0, 1)))

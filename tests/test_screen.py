@@ -274,7 +274,7 @@ class TestDescent:
             patch.setattr(driver, "_is_ascending", lambda energies: False)
             if not screened:
                 patch.setattr(driver, "symmetry_screen", lambda *a: None)
-            config = QpvqeConfig(k=4, max_iterations=40,
+            config = QpvqeConfig(max_iterations=40,
                                  adam=AdamConfig(saddle_probes=1))
             result = optimize(h, circuit, prep, config)
         return result, calls, descents
