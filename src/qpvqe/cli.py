@@ -227,6 +227,9 @@ def cmd_gaps(args) -> int:
 def cmd_amplitudes(args) -> int:
     h, circuit, refs, theta, pairs = _load_readout(args)
     obs = load_hamiltonian(args.observable) if args.observable else h
+    if obs.n_qubits > h.n_qubits:  # it would reach the readout ancillas
+        raise ValueError(f"{args.observable} acts on {obs.n_qubits} qubits "
+                         f"but {args.result} was run on {h.n_qubits}")
     print("i,j,re,im")
     for i, j in pairs:
         pair = prepare_pair(circuit, theta, refs, i, j)

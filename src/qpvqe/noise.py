@@ -12,21 +12,25 @@ transpile).  Readout error is never applied.
 An n-qubit density matrix is simulated as vec(rho), the row-major flat
 buffer of ``DensityMatrix.matrix``: a 2n-qubit amplitude vector whose
 qubits 0..n-1 index rows and qubits n..2n-1 index columns, so
-vec(U rho U^dag) = (U (x) conj U) vec(rho).  Each gate therefore runs
-twice through the statevector kernels: as itself on the row qubits and,
-by the conjugate rule, on the column qubits shifted by n.  X, RY, CNOT and
-their controlled forms are real and repeat unchanged; exp(-i phi/2 P)
-repeats with angle -(-1)^{#Y} phi, because conj P = (-1)^{#Y} P.  A gate
-costs O(4^n) and no 2^n x 2^n operator is ever built.  Each calibrated
-channel is a 4x4 (one qubit) or 16x16 (pair) superoperator applied as one
-gather -> matmul -> scatter over an index plan of its row and column
-qubits.  Pauli expectations read the strings' compiled ``StringPlan``s:
-Tr(P rho) is a gather of rho[j, j ^ m] along the diagonal flipped by the
-plan's mask m, weighted by its signs and conjugate scalar.
+vec(U rho U^dag) = (U (x) conj U) vec(rho).  Each operation therefore
+runs twice: on the row qubits and, by the conjugate rule, on the column
+qubits.  The preparation gates (X, RY and their controlled forms) are
+real and run through ``apply_gate`` again on qubits shifted by n.  The
+ansatz runs on its circuit's compiled plans (``AnsatzCircuit.plans``):
+rotation r is ``plans(2n).strings[r]`` on the row qubits, then
+``plans(n).strings[r]``, whose leading Ellipsis addresses the last n axes
+of the 2n-axis tensor, on the column qubits at angle -(-1)^{#Y} phi,
+because conj P = (-1)^{#Y} P.  Either costs O(4^n) and no 2^n x 2^n
+operator is ever built.  Each calibrated channel is a 4x4 (one qubit) or
+16x16 (pair) superoperator applied as one gather -> matmul -> scatter
+over an index plan of its row and column qubits.  Pauli expectations read
+the strings' compiled ``StringPlan``s: Tr(P rho) is a gather of
+rho[j, j ^ m] along the diagonal flipped by the plan's mask m, weighted by
+its signs and conjugate scalar.
 
 Everything derived from a calibration lives on that calibration object
-and is filled on first use: channel superoperators per gate, gather plans
-per operand set, and the noisy, theta-independent preparation state per
+and is filled on first use: channel superoperators and gather plans per
+operand set, and the noisy, theta-independent preparation state per
 preparation program, which every evaluation then copies.  Nothing derived
 is kept at module level, so a freed calibration can never lend its
 channels to a new one.
@@ -45,12 +49,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .ansatz import AnsatzCircuit, parameter_vector
 from .pauli import DimensionMismatch, PauliString, PauliSum, StringPlan
 from .statevector import GateOp, StateVector, apply_gate
 
-TRACE_TOL = 1e-10
-HERMITICITY_TOL = 1e-10
-PSD_TOL = -1e-8
 DEFAULT_GATE_TIME_1Q_NS = 35.6
 DEFAULT_SHOTS = 10_000
 
@@ -93,7 +95,7 @@ class CalibrationData:
     pairs: Dict[Tuple[int, int], PairCalibration]
     gate_time_1q_ns: float = DEFAULT_GATE_TIME_1Q_NS
     # Simulator state derived from this calibration, filled on first use:
-    # gate plans, gather plans and noisy preparation states (see the
+    # noise channels, gather plans and noisy preparation states (see the
     # module docstring).  Keyed on content, so it never outlives its data.
     _derived: Dict[tuple, object] = field(default_factory=dict, init=False,
                                           compare=False, repr=False)
@@ -221,14 +223,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def validate(self, check_psd: bool = False):
-        if abs(self.trace() - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace drifted to {self.trace()!r}")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix lost Hermiticity")
-        if check_psd and np.linalg.eigvalsh(self.matrix).min() < PSD_TOL:
-            raise ValueError("density matrix lost positivity")
-
     def expectation(self, op: PauliSum) -> float:
         """Re Tr(op rho); op may act on fewer qubits (identity on the rest)."""
         if op.n_qubits > self.n_qubits:
@@ -329,27 +323,32 @@ def _gather_plan(calib: CalibrationData, n: int,
     return plan
 
 
-def _gate_noise_channels(gate: GateOp, calib: CalibrationData,
-                         n: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """(superoperator, gather plan) pairs for a gate's noise.
+def _noise_channels(calib: CalibrationData, n: int, operands: Tuple[int, ...],
+                    two_qubit: bool) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(superoperator, gather plan) pairs of the noise on sorted operands,
+    cached on the calibration by operand set.
 
-    Per-operand depolarizing and relaxation compose into one 4x4
-    superoperator; the two-qubit depolarizing channel is a 16x16 on the
-    pair.  Identity channels are dropped.
+    A two-qubit gate draws the pair's 16x16 depolarizing channel, then
+    each operand's relaxation over the pair's gate time.  Anything else
+    (a one-qubit gate or a Pauli rotation) draws each operand's
+    depolarizing and relaxation composed into one 4x4 superoperator.
+    Identity channels are dropped.
     """
-    channels: List[Tuple[np.ndarray, np.ndarray]] = []
+    key = ("channels", n, operands, two_qubit)
+    channels = calib._derived.get(key)
+    if channels is not None:
+        return channels
+    channels = []
 
     def push(superop: np.ndarray, qubits: Tuple[int, ...]):
         if not np.allclose(superop, np.eye(superop.shape[0]), atol=1e-15):
             channels.append((superop, _gather_plan(calib, n, qubits)))
 
-    operands = sorted(set(gate.operands()))
-    is_two_qubit = gate.kind in ("CNOT", "CONTROLLED") and len(operands) == 2
-    if is_two_qubit:
+    if two_qubit:
         pair = calib.pair(operands[0], operands[1])
         if pair.err_cnot > 0.0:
             push(channel_superoperator(
-                two_qubit_depolarizing_kraus(pair.err_cnot)), tuple(operands))
+                two_qubit_depolarizing_kraus(pair.err_cnot)), operands)
         for q in operands:
             row = calib.qubit(q)
             push(channel_superoperator(thermal_relaxation_kraus(
@@ -364,56 +363,59 @@ def _gate_noise_channels(gate: GateOp, calib: CalibrationData,
                 combined = combined @ channel_superoperator(
                     depolarizing_kraus(row.err_1q))
             push(combined, (q,))
+    calib._derived[key] = channels
     return channels
-
-
-def _shift_to_columns(gate: GateOp, n: int) -> Tuple[GateOp, float]:
-    """The gate's conjugate on the column qubits, as (gate, angle sign).
-
-    The returned gate carries no angle; apply it with the row gate's angle
-    times the sign.  Real gates keep their angle; exp(-i phi/2 P) takes
-    -(-1)^{#Y} phi.
-    """
-    if gate.kind == "PAULI_ROT":
-        items = tuple((q + n, letter) for q, letter in gate.string.items)
-        n_y = sum(1 for _, letter in items if letter == "Y")
-        return (GateOp("PAULI_ROT", string=PauliString(2 * n, items)),
-                -1.0 if n_y % 2 == 0 else 1.0)
-    return (GateOp(gate.kind, targets=tuple(q + n for q in gate.targets),
-                   controls=tuple((q + n, v) for q, v in gate.controls)), 1.0)
-
-
-def _gate_plan(gate: GateOp, calib: CalibrationData, n: int
-               ) -> Tuple[GateOp, float, List[Tuple[np.ndarray, np.ndarray]]]:
-    """(column gate, angle sign, noise channels) of a gate on n qubits.
-
-    Keyed on everything but the angle, so one plan serves every angle a
-    rotation takes.
-    """
-    key = ("gate", n, gate.kind, gate.targets, gate.controls, gate.string)
-    plan = calib._derived.get(key)
-    if plan is None:
-        if gate.string is not None and gate.string.n_qubits > n:
-            raise DimensionMismatch("string larger than density matrix")
-        for q in gate.operands():
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range for n={n}")
-        column_gate, sign = _shift_to_columns(gate, n)
-        plan = (column_gate, sign, _gate_noise_channels(gate, calib, n))
-        calib._derived[key] = plan
-    return plan
 
 
 def apply_noisy_gate(rho: DensityMatrix, gate: GateOp,
                      calib: CalibrationData) -> DensityMatrix:
-    """Ideal gate, then depolarizing, then relaxation on the operands."""
-    column_gate, sign, channels = _gate_plan(gate, calib, rho.n_qubits)
+    """Ideal gate, then depolarizing, then relaxation on the operands.
+
+    Serves the theta-independent preparation gates.  Every gate kind is
+    real, so its column half is the same gate on qubits shifted by n.
+    """
+    n = rho.n_qubits
+    operands = tuple(sorted(gate.operands()))
+    for q in operands:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for n={n}")
     apply_gate(rho.vec, gate)
-    apply_gate(rho.vec, column_gate,
-               None if gate.angle is None else sign * gate.angle)
+    apply_gate(rho.vec, GateOp(
+        gate.kind, targets=tuple(q + n for q in gate.targets),
+        controls=tuple((q + n, v) for q, v in gate.controls),
+        angle=gate.angle))
     amps = rho.vec.amplitudes
-    for superop, plan in channels:
+    two_qubit = gate.kind == "CONTROLLED" and len(operands) == 2
+    for superop, plan in _noise_channels(calib, n, operands, two_qubit):
         amps[plan] = superop @ amps[plan]
+    return rho
+
+
+def apply_noisy_ansatz(rho: DensityMatrix, circuit: AnsatzCircuit, theta,
+                       calib: CalibrationData) -> DensityMatrix:
+    """U(theta) rotation by rotation, each followed by its operands'
+    one-qubit channels; zero angles are skipped.
+
+    Rotation r at angle phi runs ``circuit.plans(2n).strings[r]`` on the
+    row qubits, then ``circuit.plans(n).strings[r]`` on the column qubits
+    at -(-1)^{#Y} phi; that plan's scalar (-i)^{#Y} squares to (-1)^{#Y}.
+    """
+    n = rho.n_qubits
+    narrow = circuit.plans(n)  # raises if the circuit is wider than rho
+    wide = circuit.plans(2 * n)
+    tensor = rho.vec.tensor()
+    for rot, row, column, angle in zip(circuit.rotations, wide.strings,
+                                       narrow.strings,
+                                       narrow.angles(parameter_vector(theta))):
+        if angle == 0.0:
+            continue
+        tensor = row.rotate(tensor, angle)
+        tensor = column.rotate(tensor, -(column.scalar ** 2).real * angle)
+        amps = tensor.reshape(-1)
+        for superop, plan in _noise_channels(calib, n, rot.string.support(),
+                                             False):
+            amps[plan] = superop @ amps[plan]
+    rho.vec.amplitudes = tensor.reshape(-1)
     return rho
 
 
@@ -468,13 +470,7 @@ def noisy_ensemble_energy(h: PauliSum, circuit, prep, theta,
     if prepared is None:
         prepared = evolve_noisy(prep.program, n, calib)
         calib._derived[key] = prepared
-    rho = prepared.copy()
-    theta = np.asarray(theta, dtype=float)
-    for rot in circuit.rotations:
-        angle = 2.0 * theta[rot.parameter_index] * rot.coefficient
-        if angle != 0.0:
-            apply_noisy_gate(rho, GateOp("PAULI_ROT", string=rot.string,
-                                         angle=angle), calib)
+    rho = apply_noisy_ansatz(prepared.copy(), circuit, theta, calib)
     total = 0.0
     for coeff, plan in h.plans(n):
         if plan.flip is None and plan.signs is None:  # the identity string

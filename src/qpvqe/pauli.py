@@ -237,10 +237,6 @@ class PauliSum:
     def __rmul__(self, scalar) -> "PauliSum":
         return self * scalar
 
-    def adjoint(self) -> "PauliSum":
-        return PauliSum(self.n_qubits,
-                        {s: np.conj(c) for s, c in self._terms.items()})
-
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 

@@ -57,21 +57,18 @@ class StateVector:
 class GateOp:
     """One gate of the preparation/measurement programs.
 
-    kinds: "X", "RY" (angle), "CNOT" (control, target), "CONTROLLED"
-    (controls as (qubit, value) pairs wrapping an X or RY target), and
-    "PAULI_ROT" (string + angle, applied as exp(-i angle/2 * P)).
+    kinds: "X", "RY" (angle), and "CONTROLLED" (controls as (qubit,
+    value) pairs wrapping an X or RY target; a CNOT is the one-control X).
+    Ansatz rotations are not gates: they run on compiled ``StringPlan``s.
     """
 
     kind: str
     targets: Tuple[int, ...] = ()
     controls: Tuple[Tuple[int, int], ...] = ()
     angle: Optional[float] = None
-    string: Optional[PauliString] = None
 
     def __post_init__(self):
-        operands = list(self.targets) + [q for q, _ in self.controls]
-        if self.string is not None:
-            operands += list(self.string.support())
+        operands = self.operands()
         if len(set(operands)) != len(operands):
             raise ValueError("gate operands must be distinct")
         for _, value in self.controls:
@@ -79,10 +76,7 @@ class GateOp:
                 raise ValueError("control values must be 0 or 1")
 
     def operands(self) -> Tuple[int, ...]:
-        base = tuple(self.targets) + tuple(q for q, _ in self.controls)
-        if self.string is not None:
-            base += self.string.support()
-        return base
+        return tuple(self.targets) + tuple(q for q, _ in self.controls)
 
 
 def gate_x(qubit: int) -> GateOp:
@@ -94,7 +88,7 @@ def gate_ry(qubit: int, angle: float) -> GateOp:
 
 
 def gate_cnot(control: int, target: int) -> GateOp:
-    return GateOp("CNOT", targets=(target,), controls=((control, 1),))
+    return gate_controlled_x(((control, 1),), target)
 
 
 def gate_controlled_x(controls: Sequence[Tuple[int, int]], target: int) -> GateOp:
@@ -105,10 +99,6 @@ def gate_controlled_ry(controls: Sequence[Tuple[int, int]], target: int,
                        angle: float) -> GateOp:
     return GateOp("CONTROLLED", targets=(target,), controls=tuple(controls),
                   angle=angle)
-
-
-def gate_pauli_rot(string: PauliString, angle: float) -> GateOp:
-    return GateOp("PAULI_ROT", string=string, angle=angle)
 
 
 def init_basis(n_qubits: int, bits: Sequence[int] | str) -> StateVector:
@@ -148,20 +138,14 @@ def _ry_axis_inplace(view: np.ndarray, axis: int, angle: float):
     moved[1] = s * v0 + c * moved[1]
 
 
-def apply_gate(state: StateVector, gate: GateOp,
-               angle: Optional[float] = None) -> StateVector:
-    """Apply a gate in place; ``angle`` overrides the gate's stored angle."""
-    theta = gate.angle if angle is None else angle
+def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
+    """Apply a gate in place."""
+    theta = gate.angle
     for q in gate.operands():
         _check_qubit(state, q)
     kind = gate.kind
-    if kind == "PAULI_ROT":
-        if theta is None or not np.isfinite(theta):
-            raise ValueError("PAULI_ROT requires a finite angle")
-        return apply_pauli_exponential(state, gate.string, theta)
-
     tensor = state.tensor()
-    if kind in ("CNOT", "CONTROLLED"):
+    if kind == "CONTROLLED":
         # Restrict to the slice where every control bit matches its value.
         # Indexing descending control axes keeps lower axes in place.
         view = tensor
@@ -169,7 +153,7 @@ def apply_gate(state: StateVector, gate: GateOp,
             view = np.moveaxis(view, cq, 0)[cv]
         target = gate.targets[0]
         target_axis = target - sum(1 for q, _ in gate.controls if q < target)
-        if kind == "CNOT" or theta is None:
+        if theta is None:
             _flip_axis_inplace(view, target_axis)
         else:
             if not np.isfinite(theta):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from qpvqe.ansatz import apply_ansatz, parameter_vector
+from qpvqe.noise import (channel_superoperator, depolarizing_kraus,
+                         thermal_relaxation_kraus)
 from qpvqe.observables import _equal_branch_state, ancilla_projector
 from qpvqe.pauli import (PauliString, PauliSum, _I_POWERS, _string_axes,
                          expectation, paulisum_action)
@@ -36,19 +38,18 @@ def kron_matrix(h: PauliSum) -> np.ndarray:
     return out
 
 
-def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
-    """Full-register unitary of a gate.
+def rotation_unitary(string: PauliString, angle: float,
+                     n_qubits: int) -> np.ndarray:
+    """cos(angle/2) 1 - i sin(angle/2) P from the dense Kronecker P."""
+    mat = kron_matrix(PauliSum(n_qubits, {string.embed(n_qubits): 1.0}))
+    half = angle / 2.0
+    return np.cos(half) * np.eye(1 << n_qubits) - 1j * np.sin(half) * mat
 
-    Pauli rotations are cos(angle/2) 1 - i sin(angle/2) P from the dense
-    Kronecker matrix of P; every other gate is built column by column
-    through the statevector path.
-    """
+
+def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
+    """Full-register unitary of a gate, column by column through the
+    statevector path."""
     dim = 1 << n_qubits
-    if gate.kind == "PAULI_ROT":
-        string = gate.string.embed(n_qubits)
-        mat = kron_matrix(PauliSum(n_qubits, {string: 1.0}))
-        half = gate.angle / 2.0
-        return np.cos(half) * np.eye(dim) - 1j * np.sin(half) * mat
     cols = np.zeros((dim, dim), dtype=complex)
     for index in range(dim):
         state = StateVector(n_qubits)
@@ -236,6 +237,59 @@ def apply_kraus(rho, kraus):
     for k in kraus:
         out += k @ rho.matrix @ k.conj().T
     rho.matrix = out
+    return rho
+
+
+TRACE_TOL = 1e-10
+HERMITICITY_TOL = 1e-10
+PSD_TOL = -1e-8
+
+
+def check_density_matrix(rho, check_psd=False):
+    """Raise ValueError unless rho has unit trace and is Hermitian (and,
+    with ``check_psd``, has no eigenvalue below PSD_TOL)."""
+    m = rho.matrix
+    if abs(rho.trace() - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace drifted to {rho.trace()!r}")
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        raise ValueError("density matrix lost Hermiticity")
+    if check_psd and np.linalg.eigvalsh(m).min() < PSD_TOL:
+        raise ValueError("density matrix lost positivity")
+
+
+def string_noisy_ansatz(rho, circuit, theta, calib):
+    """The noisy ansatz as one rotation gate at a time.
+
+    Each rotation runs ``apply_pauli_exponential`` on its string, then on
+    the string shifted by n onto the column qubits at -(-1)^{#Y} phi, then
+    each operand's one-qubit channel (relaxation after depolarizing, as
+    one 4x4 superoperator) gathered from vec(rho) by ``np.moveaxis``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n = rho.n_qubits
+    flat = np.arange(1 << (2 * n)).reshape((2,) * (2 * n))
+    for rot in circuit.rotations:
+        angle = 2.0 * theta[rot.parameter_index] * rot.coefficient
+        if angle == 0.0:
+            continue
+        apply_pauli_exponential(rho.vec, rot.string, angle)
+        column = PauliString(2 * n, tuple((q + n, letter)
+                                          for q, letter in rot.string.items))
+        n_y = sum(letter == "Y" for _, letter in rot.string.items)
+        apply_pauli_exponential(rho.vec, column,
+                                (1.0 if n_y % 2 else -1.0) * angle)
+        amps = rho.vec.amplitudes
+        for q in rot.string.support():
+            row = calib.qubit(q)
+            superop = channel_superoperator(thermal_relaxation_kraus(
+                calib.gate_time_1q_ns, row.t1_us, row.t2_us))
+            if row.err_1q > 0.0:
+                superop = superop @ channel_superoperator(
+                    depolarizing_kraus(row.err_1q))
+            if np.allclose(superop, np.eye(4), atol=1e-15):
+                continue
+            plan = np.moveaxis(flat, (q, n + q), (0, 1)).reshape(4, -1)
+            amps[plan] = superop @ amps[plan]
     return rho
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import subprocess
 import sys
 
@@ -130,6 +131,27 @@ def test_readout_refuses_hamiltonian_of_other_size(command, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert H2 in captured.err and record in captured.err
+
+
+def test_amplitudes_refuse_observable_beyond_register(tmp_path, capsys):
+    # X10 on an 11-qubit observable would act on the readout ancilla of the
+    # 10-qubit LiH record; the 10-qubit hopping observable is accepted.
+    bench_data = os.path.join(os.path.dirname(__file__), "..", "bench", "data")
+    record = os.path.join(bench_data, "lih_1.60.rec")
+    wide = tmp_path / "wide.ham"
+    wide.write_text("qubits 11\n1.0 X10\n")
+    argv = ["amplitudes", "--result", record, "--hamiltonian",
+            data_path("hamiltonians", "lih_1.60.ham"), "--pairs", "0,1",
+            "--observable"]
+    assert run_cli(argv + [str(wide)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(wide) in captured.err
+    hopping = os.path.join(bench_data, "hopping.ham")
+    code, out = invoke(argv + [hopping], capsys)
+    assert code == 0 and out.splitlines()[0] == "i,j,re,im"
+    assert len(out.splitlines()) == 2
+
 
 class TestSweep:
     def test_two_point_sweep_csv(self, tmp_path, capsys):

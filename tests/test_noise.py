@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
 
-from qpvqe.ansatz import build_uccgsd
+from qpvqe.ansatz import AnsatzCircuit, Rotation, build_uccgsd
 from qpvqe.driver import SpsaConfig, ensemble_energy
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.noise import (CalibrationError, DensityMatrix, ShotSampler,
-                         apply_noisy_gate, channel_superoperator,
-                         depolarizing_kraus,
-                         load_calibration, noisy_ensemble_energy,
-                         parse_calibration, spsa_optimize,
-                         thermal_relaxation_kraus, totally_mixed_energy,
-                         two_qubit_depolarizing_kraus, zero_noise_calibration)
+                         apply_noisy_ansatz, apply_noisy_gate,
+                         channel_superoperator, depolarizing_kraus,
+                         evolve_noisy, load_calibration,
+                         noisy_ensemble_energy, parse_calibration,
+                         spsa_optimize, thermal_relaxation_kraus,
+                         totally_mixed_energy, two_qubit_depolarizing_kraus,
+                         zero_noise_calibration)
 from qpvqe.pauli import DimensionMismatch, PauliString, PauliSum
 from qpvqe.statevector import (GateOp, gate_cnot, gate_controlled_ry,
-                               gate_controlled_x, gate_pauli_rot, gate_ry,
-                               gate_x)
+                               gate_controlled_x, gate_ry, gate_x)
 
 from conftest import data_path
-from oracles import (apply_kraus, embed_kraus, embedded, gate_unitary,
-                     kron_matrix)
+from oracles import (apply_kraus, check_density_matrix, embed_kraus,
+                     embedded, gate_unitary, kron_matrix, rotation_unitary,
+                     string_noisy_ansatz)
 
 CAL_PATH = data_path("calibration", "ibmq_manila.cal")
 
@@ -35,16 +36,15 @@ def random_mixed_state(rng, n):
     return m / np.trace(m)
 
 
-def oracle_noisy_gate(m, gate, calib, n):
-    """Dense U rho U^dag, then the calibrated channels as embedded Kraus."""
-    u = gate_unitary(gate, n)
+def oracle_noisy_gate(m, u, operands, two_qubit, calib, n):
+    """Dense U rho U^dag, then the calibrated channels of a gate on sorted
+    ``operands`` as embedded Kraus."""
     m = u @ m @ u.conj().T
 
     def channel(m, kraus):
         return sum(k @ m @ k.conj().T for k in kraus)
 
-    operands = sorted(gate.operands())
-    if gate.kind in ("CNOT", "CONTROLLED") and len(operands) == 2:
+    if two_qubit:
         a, b = operands
         pair = calib.pair(a, b)
         singles = [np.eye(2), np.array([[0, 1], [1, 0]]),
@@ -79,12 +79,17 @@ GATES_3Q = {
     "controlled-ry-value-1": gate_controlled_ry([(1, 1)], 0, -1.3),
     "controlled-ry-two-controls": gate_controlled_ry([(0, 0), (2, 1)], 1,
                                                      0.7),
-    "rot-no-y": gate_pauli_rot(PauliString.from_word(3, "X0 Z2"), 0.8),
-    "rot-one-y": gate_pauli_rot(PauliString.from_word(3, "Y1 X2"), -1.1),
-    "rot-two-y": gate_pauli_rot(PauliString.from_word(3, "Y0 Z1 Y2"), 2.3),
-    "rot-two-y-narrow": gate_pauli_rot(PauliString.from_word(2, "Y0 Y1"),
-                                       0.4),
+    # (string, angle): exp(-i angle/2 P), run as a one-rotation circuit.
+    "rot-no-y": (PauliString.from_word(3, "X0 Z2"), 0.8),
+    "rot-one-y": (PauliString.from_word(3, "Y1 X2"), -1.1),
+    "rot-two-y": (PauliString.from_word(3, "Y0 Z1 Y2"), 2.3),
+    "rot-two-y-narrow": (PauliString.from_word(2, "Y0 Y1"), 0.4),
 }
+
+
+def one_rotation_circuit(string):
+    """The circuit whose theta = (angle,) is exp(-i angle/2 P)."""
+    return AnsatzCircuit(string.n_qubits, (Rotation(string, 0.5, 0),), 1)
 
 
 class TestCalibration:
@@ -180,16 +185,48 @@ class TestChannels:
         n = 3
         m = random_mixed_state(rng, n)
         rho = DensityMatrix(n, m)
-        apply_noisy_gate(rho, GATES_3Q[name], manila)
-        expected = oracle_noisy_gate(m, GATES_3Q[name], manila, n)
+        case = GATES_3Q[name]
+        if isinstance(case, GateOp):
+            apply_noisy_gate(rho, case, manila)
+            operands = sorted(case.operands())
+            expected = oracle_noisy_gate(
+                m, gate_unitary(case, n), operands,
+                case.kind == "CONTROLLED" and len(operands) == 2, manila, n)
+        else:
+            string, angle = case
+            apply_noisy_ansatz(rho, one_rotation_circuit(string), [angle],
+                               manila)
+            expected = oracle_noisy_gate(
+                m, rotation_unitary(string, angle, n), string.support(),
+                False, manila, n)
         assert np.max(np.abs(rho.matrix - expected)) < 1e-12
 
     def test_gate_beyond_register_rejected(self, manila):
         with pytest.raises(ValueError):
             apply_noisy_gate(DensityMatrix(2), gate_x(2), manila)
-        with pytest.raises(DimensionMismatch):
-            apply_noisy_gate(DensityMatrix(2), gate_pauli_rot(
-                PauliString.from_word(3, "X0"), 0.3), manila)
+        rho = DensityMatrix(2)
+        with pytest.raises(ValueError):
+            apply_noisy_ansatz(rho, one_rotation_circuit(
+                PauliString.from_word(3, "X0")), [0.3], manila)
+        assert np.array_equal(rho.matrix, DensityMatrix(2).matrix)
+
+    @pytest.mark.parametrize("effective", [["d:0,1,2,3", "d:0,3,1,2"], None],
+                             ids=["two-double", "uccgsd"])
+    def test_noisy_ansatz_bit_identical_to_rotation_gates(
+            self, h2_problem, manila, effective):
+        # The compiled-plan route against the string route, one rotation
+        # at a time, from the noisy preparation state; one zero parameter
+        # exercises the skipped rotations.
+        prep = h2_problem.prep
+        circuit = build_uccgsd(enumerate_sz_excitations(2, effective=effective))
+        theta = np.random.default_rng(23).uniform(-0.7, 0.7,
+                                                  circuit.parameter_count)
+        theta[0] = 0.0
+        start = evolve_noisy(prep.program, prep.n_qubits, manila)
+        fast = apply_noisy_ansatz(start.copy(), circuit, theta, manila)
+        slow = string_noisy_ansatz(start.copy(), circuit, theta, manila)
+        assert fast.vec.amplitudes.tobytes() == slow.vec.amplitudes.tobytes()
+        assert not np.array_equal(fast.matrix, start.matrix)
 
     def test_expectation_matches_dense_trace(self):
         rng = np.random.default_rng(12)
@@ -220,13 +257,13 @@ class TestChannels:
             for gate in program:
                 apply_noisy_gate(rho, gate, manila)
         assert abs(rho.trace() - 1.0) <= 1e-9
-        rho.validate(check_psd=True)
+        check_density_matrix(rho, check_psd=True)
 
     def test_density_matrix_validation(self):
         rho = DensityMatrix(1)
         rho.matrix[0, 0] = 2.0
         with pytest.raises(ValueError):
-            rho.validate()
+            check_density_matrix(rho)
 
 
 class TestNoisyEnergy:
@@ -256,6 +293,14 @@ class TestNoisyEnergy:
                                           zero_noise_calibration())
             stale += abs(value - exact) > 1e-12
         assert stale == 0
+
+    def test_non_finite_theta_rejected(self, h2_problem, manila):
+        p = h2_problem
+        for bad in (np.nan, np.inf):
+            theta = np.full(p.circuit.parameter_count, 0.1)
+            theta[1] = bad
+            with pytest.raises(ValueError):
+                noisy_ensemble_energy(p.h, p.circuit, p.prep, theta, manila)
 
     def test_totally_mixed_reference(self, h2_problem):
         h = h2_problem.h
