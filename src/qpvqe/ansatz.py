@@ -11,9 +11,12 @@ Rotations run through compiled ``StringPlan``s (see ``qpvqe.pauli``).  A
 circuit compiles its strings on first use for each register size it is
 applied to and keeps them in ``AnsatzCircuit.plans``; building a circuit
 compiles nothing.  The compiled routes are bit-identical to applying the
-strings one ``apply_pauli_exponential``/``pauli_action`` call at a time,
-and so is the gradient sweep that skips the rotations a
-``symmetry_screen`` proves to contribute exactly zero.
+strings one ``apply_pauli_exponential``/``pauli_action`` call at a time.
+So is the screened route: a ``symmetry_screen`` holds H's Z2 symmetries,
+and at each theta the gradient sweep and the forward pass run on the
+sector rows that the symmetries still pin (``RowPlan``s compiled once per
+on-set and kept on the screen), skip the rotations that contribute
+exactly zero, and take every vdot over the full register.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fermion import ExcitationGenerator
-from .pauli import (PauliString, PauliSum, StringPlan, paulisum_action,
+from .pauli import (PauliString, PauliSum, RowPlan, SectorRows, StringPlan,
+                    flip_mask, parities, paulisum_action, terms_action,
                     z2_symmetries)
 from .statevector import StateVector
 
@@ -42,9 +46,20 @@ class Rotation:
 class CircuitPlan:
     """A circuit's rotations compiled for one register size."""
 
-    strings: Tuple[StringPlan, ...]      # one per rotation, shared by string
+    # one per rotation, shared by string; a Sector's holds RowPlans and
+    # None for each rotation it skips
+    strings: Tuple[Optional[StringPlan], ...]
     index: np.ndarray                    # parameter index of each rotation
     coefficient: np.ndarray              # coefficient of each rotation
+
+    @classmethod
+    def of(cls, rotations: Sequence["Rotation"],
+           strings: Sequence[Optional[StringPlan]]) -> "CircuitPlan":
+        return cls(tuple(strings),
+                   np.array([rot.parameter_index for rot in rotations],
+                            dtype=np.intp),
+                   np.array([rot.coefficient for rot in rotations],
+                            dtype=float))
 
     def angles(self, theta: np.ndarray) -> List[float]:
         """Rotation angles 2 * theta_k * c in circuit order."""
@@ -80,12 +95,9 @@ class AnsatzCircuit:
             for rot in self.rotations:
                 if rot.string not in by_string:
                     by_string[rot.string] = StringPlan(rot.string, n_qubits)
-            compiled = CircuitPlan(
-                tuple(by_string[rot.string] for rot in self.rotations),
-                np.array([rot.parameter_index for rot in self.rotations],
-                         dtype=np.intp),
-                np.array([rot.coefficient for rot in self.rotations],
-                         dtype=float))
+            compiled = CircuitPlan.of(
+                self.rotations,
+                [by_string[rot.string] for rot in self.rotations])
             self._plans[n_qubits] = compiled
         return compiled
 
@@ -136,24 +148,126 @@ def _evolve(strings: Sequence[StringPlan], angles: Sequence[float],
 
 
 def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],
-                 state: StateVector) -> StateVector:
-    """Apply U(theta) (x) 1 in place; ancilla qubits are never touched."""
+                 state: StateVector,
+                 screen: Optional["SymmetryScreen"] = None) -> StateVector:
+    """Apply U(theta) (x) 1 in place; ancilla qubits are never touched.
+
+    With ``screen``, built by ``symmetry_screen`` for this circuit and a
+    state in the same rows, the rotations run on the sector rows of theta
+    and every other amplitude is set to exact 0: same bits.
+    """
     theta = _checked_theta(circuit, theta)
-    compiled = circuit.plans(state.n_qubits)
-    state.amplitudes = _evolve(compiled.strings, compiled.angles(theta),
-                               state.tensor()).reshape(-1)
+    if screen is None:
+        compiled = circuit.plans(state.n_qubits)
+        state.amplitudes = _evolve(compiled.strings, compiled.angles(theta),
+                                   state.tensor()).reshape(-1)
+        return state
+    sector = screen.sector(theta)
+    amps = np.zeros_like(state.amplitudes)
+    amps[sector.rows] = _evolve(sector.circuit.strings,
+                                sector.circuit.angles(theta),
+                                state.amplitudes[sector.rows])
+    state.amplitudes = amps
     return state
 
 
-# Per kept Z2 symmetry S of H: (parameter indices, rotation flags) of the
-# rotations that anticommute with S.
-SymmetryScreen = Tuple[Tuple[np.ndarray, np.ndarray], ...]
+@dataclass(frozen=True, eq=False)
+class Symmetry:
+    """One Z2 symmetry S of H and the rotations that anticommute with it."""
+
+    mask: int                # Z mask of S on the register
+    params: np.ndarray       # parameter indices of those rotations
+    flags: np.ndarray        # per rotation: anticommutes with S
+
+
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """The sector rows of one on-set, with the circuit and H compiled on
+    them (``RowPlan``s)."""
+
+    rows: np.ndarray             # sorted register indices
+    circuit: CircuitPlan         # None for each rotation the sweep skips
+    terms: Tuple[Tuple[complex, RowPlan], ...]   # H, in term order
+    order: List[int]             # rotations the sweep runs, last first
+
+
+class SymmetryScreen:
+    """Every Z2 symmetry of H (``pauli.z2_symmetries``), the ancilla labels
+    of the branches of the initial state, and the ``Sector``s compiled so
+    far, one per on-set.
+
+    At theta a symmetry is on when all of its parameters are exactly 0;
+    one that no rotation anticommutes with is always on.  The rows of an
+    on-set are the indices whose label bits (``kept``: bits no term and no
+    rotation flips) match a branch and whose parity under every on
+    symmetry is that branch's.  Every rotation that runs and every term of
+    H commute with the on symmetries and keep the label bits, so they map
+    the rows onto themselves, and the full route holds exact +-0 outside
+    them.  A run needs at most two on-sets: everything on in the first
+    descent, the always-on symmetries after a saddle probe.
+    """
+
+    def __init__(self, circuit: AnsatzCircuit, h: PauliSum, n_qubits: int,
+                 kept: int, symmetries: Tuple[Symmetry, ...],
+                 branches: Dict[int, Tuple[int, ...]]):
+        self.circuit = circuit
+        self.h = h
+        self.n_qubits = n_qubits
+        self.kept = kept
+        self.symmetries = symmetries
+        # label bits -> parity of the branch under each symmetry
+        self.branches = branches
+        self._sectors: Dict[Tuple[int, ...], Sector] = {}
+
+    def on(self, theta: np.ndarray) -> Tuple[int, ...]:
+        """Indices of the symmetries that are on at theta."""
+        return tuple(i for i, symmetry in enumerate(self.symmetries)
+                     if not np.any(theta[symmetry.params]))
+
+    def sector(self, theta: np.ndarray) -> Sector:
+        """The ``Sector`` of theta's on-set, compiled on first use."""
+        on = self.on(theta)
+        sector = self._sectors.get(on)
+        if sector is None:
+            sector = self._sectors[on] = _compile_sector(self, on)
+        return sector
+
+
+def _compile_sector(screen: SymmetryScreen, on: Tuple[int, ...]) -> Sector:
+    """The rows of on-set ``on`` and the circuit and H compiled on them."""
+    n = screen.n_qubits
+    index = np.arange(1 << n)
+    labels = index & screen.kept
+    on_parities = [(i, parities(index, screen.symmetries[i].mask))
+                   for i in on]
+    selected = np.zeros(index.size, dtype=bool)
+    for label, parity in screen.branches.items():
+        match = labels == label
+        for i, values in on_parities:
+            match &= values == parity[i]
+        selected |= match
+    rows = SectorRows(n, np.flatnonzero(selected))
+
+    circuit = screen.circuit
+    skip = np.zeros(len(circuit.rotations), dtype=bool)
+    for i in on:
+        skip |= screen.symmetries[i].flags
+    by_string: Dict[PauliString, RowPlan] = {}
+    strings = []
+    for rot, skipped in zip(circuit.rotations, skip.tolist()):
+        if not skipped and rot.string not in by_string:
+            by_string[rot.string] = RowPlan(rot.string, rows)
+        strings.append(None if skipped else by_string[rot.string])
+    terms = tuple((coeff, RowPlan(string, rows))
+                  for string, coeff in screen.h.items())
+    return Sector(rows.rows, CircuitPlan.of(circuit.rotations, strings),
+                  terms, np.flatnonzero(~skip)[::-1].tolist())
 
 
 def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
                     initial: StateVector) -> Optional[SymmetryScreen]:
-    """The screen of the Z2 symmetries S of H (``pauli.z2_symmetries``)
-    that some rotation anticommutes with, or None.
+    """The screen of every Z2 symmetry S of H, or None.  ``optimize``
+    builds one per run; see ``SymmetryScreen`` for the rows.
 
     Premise, else None: amplitudes that share the bits no term and no
     rotation flips (the ancilla label) lie in one S eigenspace.  While S's
@@ -162,23 +276,43 @@ def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
     factor and adds +-0.0 to a gradient entry that is never -0.0.
     """
     n = initial.n_qubits
-    compiled = circuit.plans(n)
-    h_masks = [plan.mask for _, plan in h.plans(n)]
-    masks = [plan.mask for plan in compiled.strings]
-    kept = ~int(np.bitwise_or.reduce(h_masks + masks))
+    if n < circuit.n_working_qubits:
+        raise ValueError("state register smaller than the ansatz")
+    h_masks = [flip_mask(string, n) for string, _ in h.items()]
+    masks = [flip_mask(rot.string, n) for rot in circuit.rotations]
+    kept = ((1 << n) - 1) & ~int(np.bitwise_or.reduce(h_masks + masks))
+    index = np.array([rot.parameter_index for rot in circuit.rotations],
+                     dtype=np.intp)
     occupied = np.flatnonzero(initial.amplitudes).tolist()
-    screen = []
-    for symmetry in z2_symmetries(h_masks, n):
-        flags = np.array([(m & symmetry).bit_count() & 1 for m in masks],
-                         dtype=bool)
-        if not flags.any() or any(np.array_equal(flags, f) for _, f in screen):
-            continue
-        parity = {j & kept: (j & symmetry).bit_count() & 1 for j in occupied}
-        if any(parity[j & kept] != (j & symmetry).bit_count() & 1
+    branches: Dict[int, List[int]] = {j & kept: [] for j in occupied}
+    symmetries = []
+    for mask in z2_symmetries(h_masks, n):
+        parity = {j & kept: (j & mask).bit_count() & 1 for j in occupied}
+        if any(parity[j & kept] != (j & mask).bit_count() & 1
                for j in occupied):
             return None
-        screen.append((compiled.index[flags], flags))
-    return tuple(screen) or None
+        for label, bits in branches.items():
+            bits.append(parity[label])
+        flags = np.array([(m & mask).bit_count() & 1 for m in masks],
+                         dtype=bool)
+        symmetries.append(Symmetry(mask, index[flags], flags))
+    return SymmetryScreen(circuit, h, n, kept, tuple(symmetries),
+                          {label: tuple(bits)
+                           for label, bits in branches.items()})
+
+
+def _full_length_vdot(rows: np.ndarray, dim: int):
+    """np.vdot of two row arrays, run on 2^n buffers that hold them at
+    their rows and exact zeros elsewhere.  BLAS sums a vdot by index
+    position, so a vdot of the row arrays themselves would change bits."""
+    bra = np.zeros(dim, dtype=complex)
+    ket = np.zeros(dim, dtype=complex)
+
+    def vdot(a: np.ndarray, b: np.ndarray) -> complex:
+        bra[rows] = a
+        ket[rows] = b
+        return np.vdot(bra, ket)
+    return vdot
 
 
 def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
@@ -195,33 +329,46 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     O(R^2) circuit executions; tests pin equality against literal shifted
     executions and finite differences.  The sweep un-rotates psi and
     lambda = H|psi> stacked in one (2, 2, ..., 2) array, one pass per
-    rotation for both.  It skips the rotations that ``screen``, built by
-    ``symmetry_screen`` for these arguments, flags at theta: same bits.
+    rotation for both.
+
+    With ``screen``, built by ``symmetry_screen`` for these arguments, the
+    elementwise work runs on the sector rows of theta and the sweep skips
+    the rotations an on symmetry flags; every vdot still runs over the
+    full register.  Same bits.
     """
     theta = _checked_theta(circuit, theta)
     n = initial.n_qubits
-    compiled = circuit.plans(n)
-    strings, angles = compiled.strings, compiled.angles(theta)
-    psi = _evolve(strings, angles, initial.tensor())
-    lam = paulisum_action(h, n, psi.reshape(-1))
-    energy = float(np.vdot(psi, lam).real)
+    if screen is None:
+        compiled = circuit.plans(n)
+        angles = compiled.angles(theta)
+        psi = _evolve(compiled.strings, angles, initial.tensor())
+        lam = paulisum_action(h, n, psi.reshape(-1)).reshape(psi.shape)
+        order = range(len(angles) - 1, -1, -1)
+        vdot = np.vdot
+    else:
+        sector = screen.sector(theta)
+        compiled = sector.circuit
+        angles = compiled.angles(theta)
+        psi = _evolve(compiled.strings, angles,
+                      initial.amplitudes[sector.rows])
+        lam = terms_action(sector.terms, psi)
+        order = sector.order
+        vdot = _full_length_vdot(sector.rows, 1 << n)
+    strings = compiled.strings
+    energy = float(vdot(psi, lam).real)
     grad = [0.0] * circuit.parameter_count
     index = compiled.index.tolist()
     coefficient = compiled.coefficient.tolist()
-    skip = np.zeros(len(strings), dtype=bool)
-    for params, flags in screen or ():
-        if not np.any(theta[params]):
-            skip |= flags
     # psi over the raw H|psi>, deliberately unnormalized
-    pair = np.stack((psi, lam.reshape(psi.shape)))
-    for r in np.flatnonzero(~skip)[::-1].tolist():
+    pair = np.stack((psi, lam))
+    for r in order:
         plan, angle = strings[r], angles[r]
         if angle != 0.0:
             pair = plan.rotate(pair, -angle)
         # d<H>/dphi_r = Im <lambda_r|P_r|psi_r>; undoing rotation r first
         # changes nothing because U_r commutes with its own string.
         grad[index[r]] += 2.0 * coefficient[r] * float(
-            np.vdot(pair[1], plan.act(pair[0])).imag)
+            vdot(pair[1], plan.act(pair[0])).imag)
     return energy, np.array(grad)
 
 

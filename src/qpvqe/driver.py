@@ -7,7 +7,7 @@ noiseless path minimizes it with Adam on exact parameter-shift gradients
 under a monotone accept/backtrack rule (see AdamConfig), so the recorded
 trace never rises by more than the monotone tolerance and the 1e-9 Ha
 trailing-window criterion is met honestly rather than by a frozen trace.
-Each run builds one symmetry screen, which makes gradients cheaper only.
+Each run builds one symmetry screen, which makes evaluations cheaper only.
 """
 
 from __future__ import annotations
@@ -111,9 +111,10 @@ def _window_spread(trace: List[float], window: int) -> float:
 
 
 def _energy_only(circuit: AnsatzCircuit, theta: Sequence[float], h: PauliSum,
-                 initial: StateVector) -> float:
+                 initial: StateVector,
+                 screen: Optional[SymmetryScreen] = None) -> float:
     state = initial.copy()
-    apply_ansatz(circuit, theta, state)
+    apply_ansatz(circuit, theta, state, screen)
     return expectation(h, state)
 
 
@@ -156,7 +157,8 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
             for _ in range(adam.max_backtracks):
                 lr *= adam.lr_decay_factor
                 theta_new = theta - lr * direction
-                energy_new = _energy_only(circuit, theta_new, h, initial)
+                energy_new = _energy_only(circuit, theta_new, h, initial,
+                                          screen)
                 evaluations += 1
                 if energy_new <= energy + adam.monotone_tol:
                     accepted = True
@@ -205,9 +207,11 @@ def optimize(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
     re-descend, adopting strictly better outcomes.  Everything is
     deterministic in (config, seed); the recorded trace concatenates all
     descents that were evaluated, adopted or not.
-    The symmetry screen built here changes no bit: every gradient skips
-    the rotations it proves exactly zero (``ansatz.SymmetryScreen``), all
-    Z2-forbidden ones in the first descent and none after a saddle probe.
+    The symmetry screen built here changes no bit.  Every gradient and
+    backtrack energy runs on its sector rows (``ansatz.SymmetryScreen``):
+    with every symmetry on in the first descent, where the sweep skips all
+    Z2-forbidden rotations, and with the always-on ones after a saddle
+    probe, where it skips none.
     """
     initial = prep.prepare()
     screen = symmetry_screen(circuit, h, initial)

@@ -8,6 +8,7 @@ Expected runtime is a few minutes, dominated by the H4 optimization.
 """
 
 import contextlib
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qpvqe.ansatz import build_uccgsd, gradient
 from qpvqe.driver import (SpsaConfig, ensemble_energy, error_bound,
                           symmetry_expectations)
 from qpvqe.fermion import enumerate_sz_excitations
-from qpvqe.harness import sector_indices, bit_list
+from qpvqe.harness import bit_list, parse_record, record_get, sector_indices
 from qpvqe.noise import (ShotSampler, load_calibration, noisy_ensemble_energy,
                          spsa_optimize, totally_mixed_energy,
                          zero_noise_calibration)
@@ -36,6 +37,12 @@ CHEMICAL_ACCURACY_HA = 1.6e-3
 H4_TOLERANCE_HA = 5e-3
 
 H2_LABELS = [f"{0.5 + 0.1 * i:.2f}" for i in range(26)]
+
+# The benchmark's lih_spectrum check compares a LiH run with this stored
+# record at RECORD_TOL (bench/workloads.py).  It is read, never written.
+LIH_RECORD = os.path.join(os.path.dirname(__file__), "..", "bench", "data",
+                          "lih_1.60.rec")
+RECORD_TOL = 1e-9
 
 
 _CAPTURE = None
@@ -329,3 +336,18 @@ def test_criterion_10_gradient_correctness():
             worst = max(worst, abs(grad[index] - fd))
     report(10, "gradient correctness", worst <= 1e-6,
            f"max |parameter-shift - finite difference| = {worst:.2e}")
+
+
+def test_lih_run_matches_the_stored_benchmark_record(lih_run):
+    # The benchmark's record gate, so a roundoff drift of theta fails
+    # here too and not only in the benchmark.
+    _, result = lih_run
+    with open(LIH_RECORD) as handle:
+        fields = parse_record(handle.read())
+    assert result.iterations_used == int(record_get(fields, "iterations"))
+    theta = np.array([float(x) for x in record_get(fields, "theta").split()])
+    assert result.theta_star.shape == theta.shape
+    assert np.max(np.abs(result.theta_star - theta)) <= RECORD_TOL
+    energies = np.array([float(record_get(fields, f"energy {j}"))
+                         for j in range(len(result.energies))])
+    assert np.max(np.abs(result.energies - energies)) <= RECORD_TOL

@@ -20,7 +20,8 @@ from qpvqe.ansatz import (AnsatzCircuit, Rotation, apply_ansatz, build_uccgsd,
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import exact_diagonalize, load_hamiltonian
 from qpvqe.pauli import (DENSE_BYTES_GUARD, SIGN_CACHE_SIZE, PauliString,
-                         PauliSum, StringPlan, _sign_vector,
+                         PauliSum, RowPlan, SectorRows, StringPlan,
+                         _sign_vector,
                          check_dense_bytes, expectation,
                          pauli_action, paulisum_action, to_matrix)
 from qpvqe.state_prep import (build_purified_prep, default_weights,
@@ -124,6 +125,32 @@ class TestStringKernels:
                              string_paulisum_action(h, psi.n_qubits,
                                                     psi.amplitudes))
             assert same_bits(expectation(h, psi), string_expectation(h, psi))
+
+
+class TestRowPlans:
+    def test_row_plan_matches_full_plan_on_its_rows(self):
+        # rows closed under the string's flip: a random set and its image
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            n_string = int(rng.integers(1, 5))
+            n = n_string + int(rng.integers(0, 3))
+            string = random_string(rng, n_string)
+            full = StringPlan(string, n)
+            seed_rows = rng.choice(1 << n, size=int(rng.integers(1, 1 << n)))
+            rows = np.union1d(seed_rows, seed_rows ^ full.mask)
+            plan = RowPlan(string, SectorRows(n, rows))
+            pair = np.stack([random_state(rng, n).tensor() for _ in range(2)])
+            flat = pair.reshape(2, -1)
+            angle = float(rng.uniform(-3.0, 3.0))
+            assert same_bits(plan.act(flat[0][rows]),
+                             full.act(pair[0]).reshape(-1)[rows])
+            assert same_bits(plan.rotate(flat[:, rows], angle),
+                             full.rotate(pair, angle).reshape(2, -1)[:, rows])
+
+    def test_rows_a_string_leaves_are_refused(self):
+        string = PauliString.from_word(2, "X0")
+        with pytest.raises(ValueError, match="outside"):
+            RowPlan(string, SectorRows(2, np.array([0, 1])))
 
 
 class TestCircuitPlans:

@@ -2,8 +2,9 @@
 string route, bit for bit.
 
 The screen skips rotations that anticommute with a Z2 symmetry of H while
-all of them sit at theta = 0.  Skipping is allowed only because their
-gradient terms are exact zeros, so every comparison here is ``tobytes``
+all of them sit at theta = 0, and runs the elementwise work on the sector
+rows of the symmetries that are on.  Both are allowed only because what
+they leave out is exact zeros, so every comparison here is ``tobytes``
 equality, never a tolerance.
 """
 
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import string_value_and_gradient
-from qpvqe import driver
-from qpvqe.ansatz import (AnsatzCircuit, Rotation, build_uccgsd,
-                          symmetry_screen, value_and_gradient)
+from qpvqe import ansatz, driver
+from qpvqe.ansatz import (AnsatzCircuit, Rotation, Symmetry, SymmetryScreen,
+                          apply_ansatz, build_uccgsd, symmetry_screen,
+                          value_and_gradient)
 from qpvqe.driver import AdamConfig, QpvqeConfig, optimize
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import load_hamiltonian
@@ -112,9 +114,9 @@ def theta_cases(rng, screen, count):
     cases = [zero]
     for _ in range(3):
         theta = rng.uniform(-1.0, 1.0, count)
-        for params, _ in screen:
+        for symmetry in screen.symmetries:
             if rng.random() < 0.5:
-                theta[params] = 0.0
+                theta[symmetry.params] = 0.0
         cases.append(theta)
     cases.append(rng.uniform(-1.0, 1.0, count))
     return cases
@@ -148,7 +150,7 @@ class TestScreenedSweep:
             Rotation(PauliString.from_word(n, "Y1"), -0.25, 0)), 1)
         initial = StateVector(n, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
         screen = symmetry_screen(circuit, h, initial)
-        assert [flags.tolist() for _, flags in screen] == [[True, False]]
+        assert [s.flags.tolist() for s in screen.symmetries] == [[True, False]]
         for theta in (np.zeros(1), np.array([-0.0]), np.array([0.3])):
             screened = value_and_gradient(circuit, theta, h, initial, screen)
             oracle = string_value_and_gradient(circuit, theta, h, initial)
@@ -189,7 +191,7 @@ class TestSymmetries:
         refs = select_reference_determinants(h, sector[0], sector[1], 4)
         initial = build_purified_prep(default_weights(4), refs).prepare()
         screen = symmetry_screen(circuit, h, initial)
-        skipped = np.logical_or.reduce([flags for _, flags in screen])
+        skipped = np.logical_or.reduce([s.flags for s in screen.symmetries])
         assert (int(skipped.sum()), len(circuit.rotations)) == (screened, total)
         # exactly the rotations that anticommute with a symmetry of H
         for rot, skip in zip(circuit.rotations, skipped.tolist()):
@@ -241,12 +243,44 @@ class TestPremise:
         wrong = value_and_gradient(circuit, theta, h, straddling, screen)[1]
         assert plain[0] == pytest.approx(1.0) and wrong[0] == 0.0
 
-    def test_no_anticommuting_rotation_gets_no_screen(self, h2_setup):
+    def test_no_anticommuting_rotation_skips_nothing(self, h2_setup):
         h, _, prep = h2_setup
-        # Z strings commute with every Z2 symmetry.
+        initial = prep.prepare()
+        # Z strings commute with every Z2 symmetry: all are always on,
+        # so the screen still restricts to rows but skips no rotation.
         circuit = AnsatzCircuit(4, (
             Rotation(PauliString.from_word(4, "Z0 Z1"), 0.5, 0),), 1)
-        assert symmetry_screen(circuit, h, prep.prepare()) is None
+        screen = symmetry_screen(circuit, h, initial)
+        assert not any(s.flags.any() for s in screen.symmetries)
+        theta = np.array([0.3])
+        assert screen.sector(theta).order == [0]
+        screened = value_and_gradient(circuit, theta, h, initial, screen)
+        plain = value_and_gradient(circuit, theta, h, initial)
+        assert same_bits(screened[0], plain[0])
+        assert same_bits(screened[1], plain[1])
+
+    def test_branch_straddling_an_always_on_symmetry_gets_no_rows(
+            self, h2_setup):
+        h, circuit, prep = h2_setup
+        clean = prep.prepare()
+        screen = symmetry_screen(circuit, h, clean)
+        n = clean.n_qubits
+        always_on = [s.mask for s in screen.symmetries if not s.flags.any()]
+        flagged = [s.mask for s in screen.symmetries if s.flags.any()]
+        # a bit flip that leaves the label bits alone and changes the
+        # parity under an always-on symmetry but under no flagged one
+        flip = next(d for d in range(1, 1 << n) if not d & screen.kept
+                    and any(parity(d & v) for v in always_on)
+                    and not any(parity(d & v) for v in flagged))
+        index = prep.mapped_indices()[0]
+        amps = clean.amplitudes.copy()
+        amps[index ^ flip] = amps[index]
+        straddling = StateVector(n, amps / np.linalg.norm(amps))
+        assert symmetry_screen(circuit, h, straddling) is None
+
+
+def parity(value):
+    return bin(value).count("1") % 2
 
 
 class TestDescent:
@@ -258,8 +292,8 @@ class TestDescent:
         real_descent = driver._adam_descent
 
         def spy_vg(circuit, theta, h, initial, screen=None):
-            skips = any(not np.any(theta[params])
-                        for params, _ in screen or ())
+            skips = any(s.flags.any() and not np.any(theta[s.params])
+                        for s in (screen.symmetries if screen else ()))
             calls.append((len(descents), screen is not None, skips))
             return real_vg(circuit, theta, h, initial, screen)
 
@@ -295,3 +329,133 @@ class TestDescent:
         assert same_bits(result.theta_star, plain.theta_star)
         assert same_bits(result.ensemble_trace, plain.ensemble_trace)
         assert result.evaluations == plain.evaluations
+
+
+# (Hamiltonian, spatial orbitals, sector, register size, rows with every
+# symmetry on, rows with the always-on symmetries only, whether two
+# symmetries share one flag set)
+SECTORS = (("h2_0.70.ham", 2, (2, 0.0), 6, 8, 32, True),
+           ("h4_0.90.ham", 4, (4, 0.0), 10, 128, 512, True),
+           ("lih_1.60.ham", 5, (2, 0.0), 12, 256, 2048, False))
+
+
+@pytest.fixture(scope="module", params=SECTORS,
+                ids=lambda case: case[0].split("_")[0])
+def stored_problem(request):
+    name, m_spatial, sector, n, all_on, always_on, shared = request.param
+    h = load_hamiltonian(data_path("hamiltonians", name))
+    circuit = build_uccgsd(enumerate_sz_excitations(m_spatial))
+    refs = select_reference_determinants(h, sector[0], sector[1], 4)
+    initial = build_purified_prep(default_weights(4), refs).prepare()
+    assert initial.n_qubits == n
+    return h, circuit, initial, all_on, always_on, shared
+
+
+def stored_thetas(screen, count):
+    """theta = 0 with -0.0 entries, random theta with every flagged
+    symmetry's parameters at 0, and fully perturbed theta."""
+    rng = np.random.default_rng(7)
+    zero = np.zeros(count)
+    zero[rng.random(count) < 0.5] = -0.0
+    masked = 0.1 * rng.standard_normal(count)
+    for symmetry in screen.symmetries:
+        masked[symmetry.params] = -0.0 if rng.random() < 0.5 else 0.0
+    return zero, masked, 0.1 * rng.standard_normal(count)
+
+
+class TestSectorRows:
+    def test_rows_bit_identical_on_stored_problems(self, stored_problem):
+        h, circuit, initial, all_on, always_on, shared = stored_problem
+        screen = symmetry_screen(circuit, h, initial)
+        everything = tuple(range(len(screen.symmetries)))
+        constant = tuple(i for i, s in enumerate(screen.symmetries)
+                         if not s.flags.any())
+        # two symmetries sharing one flag set are both kept (H2 and H4)
+        flag_sets = [s.flags.tobytes() for s in screen.symmetries
+                     if s.flags.any()]
+        assert (len(set(flag_sets)) < len(flag_sets)) == shared
+        for theta, on, size in zip(stored_thetas(screen,
+                                                 circuit.parameter_count),
+                                   (everything, everything, constant),
+                                   (all_on, all_on, always_on)):
+            assert screen.on(theta) == on
+            assert screen.sector(theta).rows.size == size
+            screened = value_and_gradient(circuit, theta, h, initial, screen)
+            plain = value_and_gradient(circuit, theta, h, initial)
+            oracle = string_value_and_gradient(circuit, theta, h, initial)
+            for ours in (plain, oracle):
+                assert same_bits(screened[0], ours[0])
+                assert same_bits(screened[1], ours[1])
+            # the backtrack route: rows scattered into one state
+            rows_state = apply_ansatz(circuit, theta, initial.copy(), screen)
+            full_state = apply_ansatz(circuit, theta, initial.copy())
+            assert np.array_equal(rows_state.amplitudes, full_state.amplitudes)
+            assert same_bits(driver._energy_only(circuit, theta, h, initial,
+                                                 screen),
+                             driver._energy_only(circuit, theta, h, initial))
+
+    def test_rows_are_the_on_parity_sector_of_each_branch(self,
+                                                          stored_problem):
+        h, circuit, initial = stored_problem[:3]
+        screen = symmetry_screen(circuit, h, initial)
+        n = initial.n_qubits
+        occupied = np.flatnonzero(initial.amplitudes).tolist()
+        for theta in stored_thetas(screen, circuit.parameter_count)[1:]:
+            on = [screen.symmetries[i].mask for i in screen.on(theta)]
+            expected = [j for j in range(1 << n) if any(
+                j & screen.kept == b & screen.kept
+                and all(parity(j & v) == parity(b & v) for v in on)
+                for b in occupied)]
+            assert screen.sector(theta).rows.tolist() == expected
+
+    def test_rows_do_not_depend_on_the_symmetry_basis(self, h2_setup):
+        # z2_symmetries lists Z_q of every label bit q on its own, so its
+        # parities alone pin the labels.  In another basis of the same
+        # group, Z_q + S of a flagged S is off with S; the label check
+        # must then pin the labels instead.  K = 3 leaves label 3 empty.
+        h, circuit, _ = h2_setup
+        refs = select_reference_determinants(h, 2, 0.0, 3)
+        initial = build_purified_prep(default_weights(3), refs).prepare()
+        screen = symmetry_screen(circuit, h, initial)
+        flagged = next(s for s in screen.symmetries if s.flags.any())
+        mixed = tuple(
+            Symmetry(s.mask ^ flagged.mask, flagged.params, flagged.flags)
+            if not s.mask & ~screen.kept else s for s in screen.symmetries)
+        assert mixed != screen.symmetries
+        occupied = np.flatnonzero(initial.amplitudes).tolist()
+        other = SymmetryScreen(circuit, h, screen.n_qubits, screen.kept,
+                               mixed, {b & screen.kept: tuple(
+                                   parity(b & s.mask) for s in mixed)
+                                   for b in occupied})
+        for theta in stored_thetas(screen, circuit.parameter_count):
+            assert same_bits(other.sector(theta).rows,
+                             screen.sector(theta).rows)
+            assert same_bits(
+                value_and_gradient(circuit, theta, h, initial, other)[1],
+                value_and_gradient(circuit, theta, h, initial)[1])
+
+    def test_sector_compiled_once_per_screen_and_on_set(self, monkeypatch,
+                                                        h2_setup):
+        h, circuit, prep = h2_setup
+        initial = prep.prepare()
+        compiled = []
+        real = ansatz._compile_sector
+
+        def counting(screen, on):
+            compiled.append((screen, on))
+            return real(screen, on)
+
+        monkeypatch.setattr(ansatz, "_compile_sector", counting)
+        screens = [symmetry_screen(circuit, h, initial) for _ in range(2)]
+        for screen in screens:
+            for _ in range(3):
+                for theta in stored_thetas(screen, circuit.parameter_count):
+                    value_and_gradient(circuit, theta, h, initial, screen)
+                    driver._energy_only(circuit, theta, h, initial, screen)
+        everything = tuple(range(len(screens[0].symmetries)))
+        constant = tuple(i for i, s in enumerate(screens[0].symmetries)
+                         if not s.flags.any())
+        assert compiled == [(screens[0], everything),
+                            (screens[0], constant),
+                            (screens[1], everything),
+                            (screens[1], constant)]
