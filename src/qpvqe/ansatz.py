@@ -12,11 +12,11 @@ circuit compiles its strings on first use for each register size it is
 applied to and keeps them in ``AnsatzCircuit.plans``; building a circuit
 compiles nothing.  The compiled routes are bit-identical to applying the
 strings one ``apply_pauli_exponential``/``pauli_action`` call at a time.
-So is the screened route: a ``symmetry_screen`` holds H's Z2 symmetries,
-and at each theta the gradient sweep and the forward pass run on the
-sector rows that the symmetries still pin (``RowPlan``s compiled once per
-on-set and kept on the screen), skip the rotations that contribute
-exactly zero, and take every vdot over the full register.
+So is the gradient's one route: a ``symmetry_screen`` keeps the Z2
+symmetries of H whose premise the initial state meets, and at each theta
+the sweep runs on the sector rows they still pin (``RowPlan``s compiled
+once per on-set), skips the rotations that contribute exactly zero, and
+takes every vdot over the full register.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import numpy as np
 
 from .fermion import ExcitationGenerator
 from .pauli import (PauliString, PauliSum, RowPlan, SectorRows, StringPlan,
-                    flip_mask, parities, paulisum_action, terms_action,
-                    z2_symmetries)
+                    flip_mask, parities, terms_action, z2_symmetries)
 from .statevector import StateVector
 
 ROTATION_COEFF_TOL = 1e-12
@@ -192,9 +191,9 @@ class Sector:
 
 
 class SymmetryScreen:
-    """Every Z2 symmetry of H (``pauli.z2_symmetries``), the ancilla labels
-    of the branches of the initial state, and the ``Sector``s compiled so
-    far, one per on-set.
+    """The Z2 symmetries of H (``pauli.z2_symmetries``) that meet the
+    premise of ``symmetry_screen``, the ancilla labels of the branches of
+    the initial state, and the ``Sector``s compiled so far, one per on-set.
 
     At theta a symmetry is on when all of its parameters are exactly 0;
     one that no rotation anticommutes with is always on.  The rows of an
@@ -265,15 +264,17 @@ def _compile_sector(screen: SymmetryScreen, on: Tuple[int, ...]) -> Sector:
 
 
 def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
-                    initial: StateVector) -> Optional[SymmetryScreen]:
-    """The screen of every Z2 symmetry S of H, or None.  ``optimize``
-    builds one per run; see ``SymmetryScreen`` for the rows.
+                    initial: StateVector) -> SymmetryScreen:
+    """The screen of the Z2 symmetries S of H whose premise ``initial``
+    meets; see ``SymmetryScreen`` for the rows.
 
-    Premise, else None: amplitudes that share the bits no term and no
-    rotation flips (the ancilla label) lie in one S eigenspace.  While S's
+    Premise, per S: amplitudes that share the bits no term and no rotation
+    flips (the ancilla label) lie in one S eigenspace.  While S's
     rotations all sit at theta exactly 0, nothing moves a branch out of
     it, so each such Im<lambda|P|psi> sums products with an exact-zero
-    factor and adds +-0.0 to a gradient entry that is never -0.0.
+    factor and adds +-0.0 to a gradient entry that is never -0.0.  An S
+    that a branch straddles is left out; with none left, the rows are the
+    label rows, which no term and no rotation leaves.
     """
     n = initial.n_qubits
     if n < circuit.n_working_qubits:
@@ -290,7 +291,7 @@ def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
         parity = {j & kept: (j & mask).bit_count() & 1 for j in occupied}
         if any(parity[j & kept] != (j & mask).bit_count() & 1
                for j in occupied):
-            return None
+            continue
         for label, bits in branches.items():
             bits.append(parity[label])
         flags = np.array([(m & mask).bit_count() & 1 for m in masks],
@@ -328,40 +329,31 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     U(phi +- pi/2) = U(phi) exp(-+ i pi/4 P)), which costs O(R) instead of
     O(R^2) circuit executions; tests pin equality against literal shifted
     executions and finite differences.  The sweep un-rotates psi and
-    lambda = H|psi> stacked in one (2, 2, ..., 2) array, one pass per
-    rotation for both.
+    lambda = H|psi> stacked in one (2, M) array, one pass per rotation
+    for both.
 
-    With ``screen``, built by ``symmetry_screen`` for these arguments, the
-    elementwise work runs on the sector rows of theta and the sweep skips
+    The elementwise work runs on the sector rows of theta in ``screen``
+    (``symmetry_screen`` of these arguments, built here if None) and skips
     the rotations an on symmetry flags; every vdot still runs over the
-    full register.  Same bits.
+    full register, so the bits are those of the full-register sweep.
     """
     theta = _checked_theta(circuit, theta)
-    n = initial.n_qubits
     if screen is None:
-        compiled = circuit.plans(n)
-        angles = compiled.angles(theta)
-        psi = _evolve(compiled.strings, angles, initial.tensor())
-        lam = paulisum_action(h, n, psi.reshape(-1)).reshape(psi.shape)
-        order = range(len(angles) - 1, -1, -1)
-        vdot = np.vdot
-    else:
-        sector = screen.sector(theta)
-        compiled = sector.circuit
-        angles = compiled.angles(theta)
-        psi = _evolve(compiled.strings, angles,
-                      initial.amplitudes[sector.rows])
-        lam = terms_action(sector.terms, psi)
-        order = sector.order
-        vdot = _full_length_vdot(sector.rows, 1 << n)
+        screen = symmetry_screen(circuit, h, initial)
+    sector = screen.sector(theta)
+    compiled = sector.circuit
     strings = compiled.strings
+    angles = compiled.angles(theta)
+    psi = _evolve(strings, angles, initial.amplitudes[sector.rows])
+    lam = terms_action(sector.terms, psi)
+    vdot = _full_length_vdot(sector.rows, 1 << initial.n_qubits)
     energy = float(vdot(psi, lam).real)
     grad = [0.0] * circuit.parameter_count
     index = compiled.index.tolist()
     coefficient = compiled.coefficient.tolist()
     # psi over the raw H|psi>, deliberately unnormalized
     pair = np.stack((psi, lam))
-    for r in order:
+    for r in sector.order:
         plan, angle = strings[r], angles[r]
         if angle != 0.0:
             pair = plan.rotate(pair, -angle)

@@ -114,10 +114,21 @@ def _load_readout(args):
     refs = ReferenceSet(tuple(record_get_all(fields, "ref")))
     theta = np.array([float(t) for t in record_get(fields, "theta").split()])
     k = int(record_get(fields, "k"))
-    pairs = ([tuple(int(x) for x in p.split(",")) for p in args.pairs]
-             if args.pairs else
+    pairs = ([_parse_pair(p, k) for p in args.pairs] if args.pairs else
              [(i, j) for i in range(k) for j in range(i + 1, k)])
     return h, circuit, refs, theta, pairs
+
+
+def _parse_pair(text: str, k: int) -> Tuple[int, int]:
+    """An "i,j" pair of distinct state indices in 0..k-1."""
+    try:
+        i, j = (int(x) for x in text.split(","))
+        if 0 <= i < k and 0 <= j < k and i != j:
+            return i, j
+    except ValueError:
+        pass
+    raise ValueError(f"pair {text!r} is not two distinct state indices "
+                     f"in 0..{k - 1}")
 
 
 def cmd_run(args) -> int:

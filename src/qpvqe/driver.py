@@ -122,7 +122,7 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
                   theta0: np.ndarray, config: QpvqeConfig,
                   callback: Optional[Callable[[int, float], None]] = None,
                   iteration_offset: int = 0, *,
-                  screen: Optional[SymmetryScreen] = None
+                  screen: SymmetryScreen
                   ) -> Tuple[np.ndarray, List[float], bool, int]:
     """One monotone Adam descent; returns (theta, trace, converged, evals)."""
     adam = config.adam
@@ -207,11 +207,11 @@ def optimize(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
     re-descend, adopting strictly better outcomes.  Everything is
     deterministic in (config, seed); the recorded trace concatenates all
     descents that were evaluated, adopted or not.
-    The symmetry screen built here changes no bit.  Every gradient and
-    backtrack energy runs on its sector rows (``ansatz.SymmetryScreen``):
-    with every symmetry on in the first descent, where the sweep skips all
-    Z2-forbidden rotations, and with the always-on ones after a saddle
-    probe, where it skips none.
+    One symmetry screen built here serves every descent: each gradient
+    and backtrack energy runs on its sector rows with the full register's
+    bits.  In the first descent every symmetry is on and the sweep skips
+    all Z2-forbidden rotations; after a saddle probe only the always-on
+    ones remain and it skips none.
     """
     initial = prep.prepare()
     screen = symmetry_screen(circuit, h, initial)

@@ -83,19 +83,15 @@ def bit_list(index: int, n_qubits: int) -> Tuple[int, ...]:
     return tuple((index >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits))
 
 
-def particle_number(index: int, n_qubits: int) -> int:
-    return bin(index).count("1")
-
-
-def sz_value(index: int, n_qubits: int) -> float:
-    bits = bit_list(index, n_qubits)
-    return 0.5 * (sum(bits[0::2]) - sum(bits[1::2]))
-
-
 def sector_indices(n_qubits: int, n_particles: int, sz: float) -> List[int]:
-    return [i for i in range(1 << n_qubits)
-            if particle_number(i, n_qubits) == n_particles
-            and abs(sz_value(i, n_qubits) - sz) < 1e-9]
+    """Ascending basis indices with N particles and S_z = sz."""
+    index = np.arange(1 << n_qubits)
+    spins = np.zeros((2, index.size), dtype=np.intp)   # alpha, beta counts
+    for q in range(n_qubits):
+        spins[q % 2] += (index >> (n_qubits - 1 - q)) & 1
+    keep = ((spins[0] + spins[1] == n_particles)
+            & (np.abs(0.5 * (spins[0] - spins[1]) - sz) < 1e-9))
+    return np.flatnonzero(keep).tolist()
 
 
 @dataclass

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from qpvqe.ansatz import apply_ansatz, parameter_vector
+from qpvqe.ansatz import _evolve, apply_ansatz, parameter_vector
 from qpvqe.noise import (channel_superoperator, depolarizing_kraus,
                          thermal_relaxation_kraus)
 from qpvqe.observables import _equal_branch_state, ancilla_projector
@@ -147,6 +147,32 @@ def string_value_and_gradient(circuit, theta, h, initial):
         grad[rot.parameter_index] += 2.0 * rot.coefficient * float(
             np.vdot(lam_state.amplitudes, p_psi).imag)
     return energy, grad
+
+
+def full_register_value_and_gradient(circuit, theta, h, initial):
+    """The compiled adjoint sweep on the whole register, with no symmetry
+    screen: every rotation runs on its ``StringPlan``, H|psi> comes from
+    ``paulisum_action`` and every vdot is a plain ``np.vdot``.  The
+    library's sweep on the sector rows must reproduce it bit for bit."""
+    theta = parameter_vector(theta)
+    n = initial.n_qubits
+    compiled = circuit.plans(n)
+    strings = compiled.strings
+    angles = compiled.angles(theta)
+    psi = _evolve(strings, angles, initial.tensor())
+    lam = paulisum_action(h, n, psi.reshape(-1)).reshape(psi.shape)
+    energy = float(np.vdot(psi, lam).real)
+    grad = [0.0] * circuit.parameter_count
+    index = compiled.index.tolist()
+    coefficient = compiled.coefficient.tolist()
+    pair = np.stack((psi, lam))
+    for r in range(len(angles) - 1, -1, -1):
+        plan, angle = strings[r], angles[r]
+        if angle != 0.0:
+            pair = plan.rotate(pair, -angle)
+        grad[index[r]] += 2.0 * coefficient[r] * float(
+            np.vdot(pair[1], plan.act(pair[0])).imag)
+    return energy, np.array(grad)
 
 
 def shifted_gradient(circuit, theta, h, initial):

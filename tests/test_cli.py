@@ -88,6 +88,19 @@ class TestRunAndConsumers:
         for row in rows:
             assert abs(complex(float(row["re"]), float(row["im"]))) < 1e-3
 
+    @pytest.mark.parametrize("command", ["gaps", "amplitudes"])
+    @pytest.mark.parametrize("pair", ["-1,0", "0,7", "0,4", "2,2", "0,1,2",
+                                      "1", "a,b"])
+    def test_readout_refuses_pairs_outside_the_record(self, record_path,
+                                                      capsys, command, pair):
+        # K = 4: "-1,0" would read state 3 and "0,7" past the references
+        argv = [command, "--result", record_path]
+        assert run_cli(argv + [f"--pairs={pair}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pair") and pair in captured.err
+        code, out = invoke(argv + ["--pairs", "3,0"], capsys)
+        assert code == 0 and out.splitlines()[1].startswith("3,0,")
 
     @pytest.mark.parametrize("command", ["gaps", "amplitudes"])
     def test_readout_builds_no_operator_products(self, record_path, capsys,

@@ -5,7 +5,7 @@ from qpvqe.harness import (EDReference, HamiltonianFormatError,
                            exact_diagonalize,
                            load_hamiltonian, parse_hamiltonian, parse_manifest,
                            parse_record, record_get, record_get_all,
-                           sector_indices, serialize_hamiltonian, sz_value,
+                           sector_indices, serialize_hamiltonian,
                            write_record)
 from qpvqe.pauli import PauliString, PauliSum, paulisum_action, to_matrix
 
@@ -57,14 +57,29 @@ class TestParseHamiltonian:
 class TestSectors:
     def test_sz_interleaved_convention(self):
         # |1100>: alpha on q0, beta on q1
-        assert sz_value(0b1100, 4) == 0.0
-        assert sz_value(0b1010, 4) == 1.0
-        assert sz_value(0b0101, 4) == -1.0
+        assert 0b1100 in sector_indices(4, 2, 0.0)
+        assert sector_indices(4, 2, 1.0) == [0b1010]
+        assert sector_indices(4, 2, -1.0) == [0b0101]
 
     def test_sector_indices_h2(self):
         idx = sector_indices(4, 2, 0.0)
         assert sorted(format(i, "04b") for i in idx) == \
             ["0011", "0110", "1001", "1100"]
+
+    def test_sector_indices_against_a_loop(self):
+        for n in range(11):
+            labels = []
+            for i in range(1 << n):
+                bits = [int(b) for b in format(i, f"0{n}b")] if n else []
+                labels.append((sum(bits),
+                               0.5 * (sum(bits[0::2]) - sum(bits[1::2]))))
+            for n_particles in range(n + 2):
+                for sz in (0.0, 0.5, -0.5, 1.0, -1.0, 0.25):
+                    idx = sector_indices(n, n_particles, sz)
+                    assert idx == [i for i, (count, value) in enumerate(labels)
+                                   if count == n_particles
+                                   and abs(value - sz) < 1e-9]
+                    assert all(type(i) is int for i in idx)
 
     def test_diagonal_element_against_dense(self):
         h = load_hamiltonian(data_path("hamiltonians", "h2_0.70.ham"))

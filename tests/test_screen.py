@@ -1,5 +1,5 @@
-"""The symmetry-screened adjoint sweep against the unscreened sweep and the
-string route, bit for bit.
+"""The symmetry-screened adjoint sweep against the full-register sweep and
+the string route, bit for bit.
 
 The screen skips rotations that anticommute with a Z2 symmetry of H while
 all of them sit at theta = 0, and runs the elementwise work on the sector
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import string_value_and_gradient
+from oracles import full_register_value_and_gradient, string_value_and_gradient
 from qpvqe import ansatz, driver
 from qpvqe.ansatz import (AnsatzCircuit, Rotation, Symmetry, SymmetryScreen,
                           apply_ansatz, build_uccgsd, symmetry_screen,
@@ -34,6 +34,20 @@ STORED = (("h2_0.70.ham", 2, (2, 0.0), 3, 20, 36),
 
 def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_bits_of_both_oracles(circuit, theta, h, initial, screen=None):
+    ours = value_and_gradient(circuit, theta, h, initial, screen)
+    for oracle in (full_register_value_and_gradient,
+                   string_value_and_gradient):
+        theirs = oracle(circuit, theta, h, initial)
+        assert same_bits(ours[0], theirs[0])
+        assert same_bits(ours[1], theirs[1])
+
+
+def perturbed(circuit):
+    return 0.1 * np.random.default_rng(3).standard_normal(
+        circuit.parameter_count)
 
 
 def x_mask(string, n):
@@ -130,15 +144,9 @@ class TestScreenedSweep:
         h, circuit, initial = planted_problem(rng)
         screen = symmetry_screen(circuit, h, initial)
         # parameter 0 anticommutes with a planted symmetry of H
-        assert screen is not None
+        assert any(s.flags.any() for s in screen.symmetries)
         for theta in theta_cases(rng, screen, circuit.parameter_count):
-            screened = value_and_gradient(circuit, theta, h, initial, screen)
-            plain = value_and_gradient(circuit, theta, h, initial)
-            oracle = string_value_and_gradient(circuit, theta, h, initial)
-            assert same_bits(screened[0], plain[0])
-            assert same_bits(screened[1], plain[1])
-            assert same_bits(screened[1], oracle[1])
-            assert same_bits(screened[0], oracle[0])
+            assert_bits_of_both_oracles(circuit, theta, h, initial, screen)
 
     def test_mixed_parameter_keeps_its_unscreened_rotation(self):
         # X0 anticommutes with Z0, Z1 does not; both drive parameter 0.
@@ -209,24 +217,30 @@ def h2_setup():
 
 
 class TestPremise:
-    def test_straddling_branch_gets_no_screen(self, h2_setup):
+    def test_straddled_symmetry_is_left_out(self, h2_setup):
         h, circuit, prep = h2_setup
         clean = prep.prepare()
         screen = symmetry_screen(circuit, h, clean)
-        assert screen is not None
         # Copy label 0's amplitude onto the basis state with qubit 0
         # flipped, which flips the particle-number parity: the branch now
-        # straddles two eigenspaces of that symmetry.
+        # straddles two eigenspaces of every symmetry that holds Z0.
+        top = 1 << (clean.n_qubits - 1)
         index = prep.mapped_indices()[0]
         amps = clean.amplitudes.copy()
-        amps[index ^ (1 << (clean.n_qubits - 1))] = amps[index]
+        amps[index ^ top] = amps[index]
         straddling = StateVector(clean.n_qubits, amps / np.linalg.norm(amps))
-        assert symmetry_screen(circuit, h, straddling) is None
+        left = symmetry_screen(circuit, h, straddling)
+        kept = [s.mask for s in screen.symmetries if not s.mask & top]
+        assert 0 < len(kept) < len(screen.symmetries)
+        assert [s.mask for s in left.symmetries] == kept
+        for theta in (np.zeros(circuit.parameter_count), perturbed(circuit)):
+            assert_bits_of_both_oracles(circuit, theta, h, straddling)
 
     def test_premise_matters(self):
         # H = X0 X1 + Z0 Z1 has the one symmetry Z0 Z1, and Y0
         # anticommutes with it.  On (|00> + |01>)/sqrt 2 the gradient at
-        # theta = 0 is 2 c <Z0 X1> = 1, which a screen would drop.
+        # theta = 0 is 2 c <Z0 X1> = 1, which the basis state's screen
+        # would drop.
         n = 2
         h = PauliSum(n, {PauliString.from_word(n, "X0 X1"): 1.0,
                          PauliString.from_word(n, "Z0 Z1"): 0.5})
@@ -236,12 +250,39 @@ class TestPremise:
         straddling = StateVector(
             n, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2.0))
         screen = symmetry_screen(circuit, h, basis)
-        assert screen is not None
-        assert symmetry_screen(circuit, h, straddling) is None
+        assert [s.mask for s in screen.symmetries] == [0b11]
+        assert symmetry_screen(circuit, h, straddling).symmetries == ()
         theta = np.zeros(1)
         plain = value_and_gradient(circuit, theta, h, straddling)[1]
         wrong = value_and_gradient(circuit, theta, h, straddling, screen)[1]
         assert plain[0] == pytest.approx(1.0) and wrong[0] == 0.0
+        assert_bits_of_both_oracles(circuit, theta, h, straddling)
+
+    def test_every_symmetry_left_out_keeps_the_label_rows(self, h2_setup):
+        # On the working register alone no label bit pins a symmetry, so
+        # one branch can straddle all of them: its image under a flip d
+        # that has odd parity with every symmetry.
+        h, circuit, _ = h2_setup
+        n = h.n_qubits
+        basis = StateVector(n)
+        full = symmetry_screen(circuit, h, basis)
+        assert full.symmetries
+        flip = next(d for d in range(1, 1 << n) if not d & full.kept
+                    and all(parity(d & s.mask) for s in full.symmetries))
+        amps = basis.amplitudes.copy()
+        amps[flip] = 1.0
+        straddling = StateVector(n, amps / np.linalg.norm(amps))
+        screen = symmetry_screen(circuit, h, straddling)
+        assert screen.symmetries == ()
+        labels = {j & screen.kept for j in (0, flip)}
+        expected = [j for j in range(1 << n) if j & screen.kept in labels]
+        for theta in (np.zeros(circuit.parameter_count), perturbed(circuit)):
+            assert screen.on(theta) == ()
+            assert screen.sector(theta).rows.tolist() == expected
+            assert screen.sector(theta).order == list(
+                range(len(circuit.rotations) - 1, -1, -1))
+            assert_bits_of_both_oracles(circuit, theta, h, straddling,
+                                        screen)
 
     def test_no_anticommuting_rotation_skips_nothing(self, h2_setup):
         h, _, prep = h2_setup
@@ -254,13 +295,9 @@ class TestPremise:
         assert not any(s.flags.any() for s in screen.symmetries)
         theta = np.array([0.3])
         assert screen.sector(theta).order == [0]
-        screened = value_and_gradient(circuit, theta, h, initial, screen)
-        plain = value_and_gradient(circuit, theta, h, initial)
-        assert same_bits(screened[0], plain[0])
-        assert same_bits(screened[1], plain[1])
+        assert_bits_of_both_oracles(circuit, theta, h, initial, screen)
 
-    def test_branch_straddling_an_always_on_symmetry_gets_no_rows(
-            self, h2_setup):
+    def test_straddled_always_on_symmetry_is_left_out(self, h2_setup):
         h, circuit, prep = h2_setup
         clean = prep.prepare()
         screen = symmetry_screen(circuit, h, clean)
@@ -276,11 +313,27 @@ class TestPremise:
         amps = clean.amplitudes.copy()
         amps[index ^ flip] = amps[index]
         straddling = StateVector(n, amps / np.linalg.norm(amps))
-        assert symmetry_screen(circuit, h, straddling) is None
+        left = symmetry_screen(circuit, h, straddling)
+        assert [s.mask for s in left.symmetries] == [
+            s.mask for s in screen.symmetries if not parity(flip & s.mask)]
+        # the flagged symmetries stay and still skip their rotations
+        assert flagged and set(flagged) <= {s.mask for s in left.symmetries}
+        zero = np.zeros(circuit.parameter_count)
+        assert left.sector(zero).rows.size > screen.sector(zero).rows.size
+        for theta in (zero, perturbed(circuit)):
+            assert_bits_of_both_oracles(circuit, theta, h, straddling, left)
 
 
 def parity(value):
     return bin(value).count("1") % 2
+
+
+def without_symmetries(screen):
+    """The screen's circuit, H and branches with no symmetry: its rows are
+    the label rows and it skips no rotation."""
+    return SymmetryScreen(screen.circuit, screen.h, screen.n_qubits,
+                          screen.kept, (),
+                          {label: () for label in screen.branches})
 
 
 class TestDescent:
@@ -291,10 +344,10 @@ class TestDescent:
         real_vg = driver.value_and_gradient
         real_descent = driver._adam_descent
 
-        def spy_vg(circuit, theta, h, initial, screen=None):
+        def spy_vg(circuit, theta, h, initial, screen):
             skips = any(s.flags.any() and not np.any(theta[s.params])
-                        for s in (screen.symmetries if screen else ()))
-            calls.append((len(descents), screen is not None, skips))
+                        for s in screen.symmetries)
+            calls.append((len(descents), len(screen.symmetries), skips))
             return real_vg(circuit, theta, h, initial, screen)
 
         def spy_descent(*args, **kwargs):
@@ -307,7 +360,9 @@ class TestDescent:
             # Force one saddle probe after the first descent.
             patch.setattr(driver, "_is_ascending", lambda energies: False)
             if not screened:
-                patch.setattr(driver, "symmetry_screen", lambda *a: None)
+                patch.setattr(driver, "symmetry_screen",
+                              lambda *args: without_symmetries(
+                                  symmetry_screen(*args)))
             config = QpvqeConfig(max_iterations=40,
                                  adam=AdamConfig(saddle_probes=1))
             result = optimize(h, circuit, prep, config)
@@ -321,11 +376,12 @@ class TestDescent:
         first = [c for c in calls if c[0] == 1]
         probe = [c for c in calls if c[0] == 2]
         assert first and probe
-        assert all(has_screen and skips for _, has_screen, skips in first)
-        assert all(has_screen and not skips for _, has_screen, skips in probe)
+        assert all(count and skips for _, count, skips in first)
+        assert all(count and not skips for _, count, skips in probe)
         plain, plain_calls, _ = self.run(monkeypatch, h2_setup,
                                          screened=False)
-        assert not any(has_screen for _, has_screen, _ in plain_calls)
+        assert plain_calls
+        assert not any(count or skips for _, count, skips in plain_calls)
         assert same_bits(result.theta_star, plain.theta_star)
         assert same_bits(result.ensemble_trace, plain.ensemble_trace)
         assert result.evaluations == plain.evaluations
@@ -380,12 +436,7 @@ class TestSectorRows:
                                    (all_on, all_on, always_on)):
             assert screen.on(theta) == on
             assert screen.sector(theta).rows.size == size
-            screened = value_and_gradient(circuit, theta, h, initial, screen)
-            plain = value_and_gradient(circuit, theta, h, initial)
-            oracle = string_value_and_gradient(circuit, theta, h, initial)
-            for ours in (plain, oracle):
-                assert same_bits(screened[0], ours[0])
-                assert same_bits(screened[1], ours[1])
+            assert_bits_of_both_oracles(circuit, theta, h, initial, screen)
             # the backtrack route: rows scattered into one state
             rows_state = apply_ansatz(circuit, theta, initial.copy(), screen)
             full_state = apply_ansatz(circuit, theta, initial.copy())
@@ -432,7 +483,8 @@ class TestSectorRows:
                              screen.sector(theta).rows)
             assert same_bits(
                 value_and_gradient(circuit, theta, h, initial, other)[1],
-                value_and_gradient(circuit, theta, h, initial)[1])
+                full_register_value_and_gradient(circuit, theta, h,
+                                                 initial)[1])
 
     def test_sector_compiled_once_per_screen_and_on_set(self, monkeypatch,
                                                         h2_setup):
