@@ -17,7 +17,7 @@ from .ansatz import AnsatzCircuit, apply_ansatz, build_uccgsd, gradient
 from .state_prep import (PurifiedPrep, ReferenceSet, WeightVector,
                          build_purified_prep, default_weights,
                          prepare_purified, select_reference_determinants)
-from .driver import (AdamConfig, QpvqeConfig, SpectrumResult, SpsaConfig,
+from .driver import (QpvqeConfig, SpectrumResult, SpsaConfig,
                      ensemble_energy, error_bound, extract_eigenpairs,
                      optimize)
 from .observables import energy_gap, prepare_pair, transition_amplitude

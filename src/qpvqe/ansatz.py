@@ -12,11 +12,13 @@ circuit compiles its strings on first use for each register size it is
 applied to and keeps them in ``AnsatzCircuit.plans``; building a circuit
 compiles nothing.  The compiled routes are bit-identical to applying the
 strings one ``apply_pauli_exponential``/``pauli_action`` call at a time.
-So is the gradient's one route: a ``symmetry_screen`` keeps the Z2
-symmetries of H whose premise the initial state meets, and at each theta
-the sweep runs on the sector rows they still pin (``RowPlan``s compiled
-once per on-set), skips the rotations that contribute exactly zero, and
-takes every vdot over the full register.
+So is the optimizer's one forward pass, shared by ``value_and_gradient``
+and ``screened_energy``: a ``symmetry_screen`` keeps the Z2 symmetries of
+H whose premise the initial state meets, and at each theta the pass runs
+on the sector rows they still pin (``RowPlan``s compiled once per
+on-set), skips the rotations that contribute exactly zero, and takes
+every vdot over the full register.  ``apply_ansatz`` runs the full
+register for readouts and checks.
 """
 
 from __future__ import annotations
@@ -147,26 +149,12 @@ def _evolve(strings: Sequence[StringPlan], angles: Sequence[float],
 
 
 def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],
-                 state: StateVector,
-                 screen: Optional["SymmetryScreen"] = None) -> StateVector:
-    """Apply U(theta) (x) 1 in place; ancilla qubits are never touched.
-
-    With ``screen``, built by ``symmetry_screen`` for this circuit and a
-    state in the same rows, the rotations run on the sector rows of theta
-    and every other amplitude is set to exact 0: same bits.
-    """
+                 state: StateVector) -> StateVector:
+    """Apply U(theta) (x) 1 in place; ancilla qubits are never touched."""
     theta = _checked_theta(circuit, theta)
-    if screen is None:
-        compiled = circuit.plans(state.n_qubits)
-        state.amplitudes = _evolve(compiled.strings, compiled.angles(theta),
-                                   state.tensor()).reshape(-1)
-        return state
-    sector = screen.sector(theta)
-    amps = np.zeros_like(state.amplitudes)
-    amps[sector.rows] = _evolve(sector.circuit.strings,
-                                sector.circuit.angles(theta),
-                                state.amplitudes[sector.rows])
-    state.amplitudes = amps
+    compiled = circuit.plans(state.n_qubits)
+    state.amplitudes = _evolve(compiled.strings, compiled.angles(theta),
+                               state.tensor()).reshape(-1)
     return state
 
 
@@ -316,6 +304,30 @@ def _full_length_vdot(rows: np.ndarray, dim: int):
     return vdot
 
 
+def _forward(circuit: AnsatzCircuit, theta: Sequence[float],
+             initial: StateVector, screen: SymmetryScreen):
+    """The forward pass on the sector rows of theta in ``screen``: the
+    sector, the rotation angles, psi = U(theta)|initial> and lambda = H|psi>
+    on the rows, the full-length vdot and the energy <psi|H|psi>."""
+    theta = _checked_theta(circuit, theta)
+    sector = screen.sector(theta)
+    angles = sector.circuit.angles(theta)
+    psi = _evolve(sector.circuit.strings, angles,
+                  initial.amplitudes[sector.rows])
+    lam = terms_action(sector.terms, psi)
+    vdot = _full_length_vdot(sector.rows, 1 << initial.n_qubits)
+    return sector, angles, psi, lam, vdot, float(vdot(psi, lam).real)
+
+
+def screened_energy(circuit: AnsatzCircuit, theta: Sequence[float],
+                    h: PauliSum, initial: StateVector,
+                    screen: SymmetryScreen) -> float:
+    """<psi|H|psi> by ``value_and_gradient``'s forward pass, bit for bit
+    the energy it returns; ``screen`` is ``symmetry_screen`` of these
+    arguments."""
+    return _forward(circuit, theta, initial, screen)[-1]
+
+
 def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
                        h: PauliSum, initial: StateVector,
                        screen: Optional[SymmetryScreen] = None
@@ -337,17 +349,12 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     the rotations an on symmetry flags; every vdot still runs over the
     full register, so the bits are those of the full-register sweep.
     """
-    theta = _checked_theta(circuit, theta)
     if screen is None:
         screen = symmetry_screen(circuit, h, initial)
-    sector = screen.sector(theta)
+    sector, angles, psi, lam, vdot, energy = _forward(circuit, theta,
+                                                      initial, screen)
     compiled = sector.circuit
     strings = compiled.strings
-    angles = compiled.angles(theta)
-    psi = _evolve(strings, angles, initial.amplitudes[sector.rows])
-    lam = terms_action(sector.terms, psi)
-    vdot = _full_length_vdot(sector.rows, 1 << initial.n_qubits)
-    energy = float(vdot(psi, lam).real)
     grad = [0.0] * circuit.parameter_count
     index = compiled.index.tolist()
     coefficient = compiled.coefficient.tolist()

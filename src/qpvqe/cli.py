@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ansatz import build_uccgsd
-from .driver import (AdamConfig, QpvqeConfig, SpectrumResult, SpsaConfig,
+from .driver import (QpvqeConfig, SpectrumResult, SpsaConfig,
                      attach_certificate, optimize)
 from .fermion import enumerate_sz_excitations
 from .harness import (exact_diagonalize, format_float,
@@ -136,9 +136,8 @@ def cmd_run(args) -> int:
     sector = _parse_sector(args.sector)
     h, circuit, refs, weights, prep = _setup_problem(
         args.hamiltonian, sector, args.k, args.excitations)
-    config = QpvqeConfig(max_iterations=args.max_iterations,
-                         convergence_threshold=args.threshold, seed=seed,
-                         adam=AdamConfig(lr=args.lr))
+    config = QpvqeConfig(lr=args.lr, max_iterations=args.max_iterations,
+                         convergence_threshold=args.threshold, seed=seed)
     result = optimize(h, circuit, prep, config)
     if not args.no_ed:
         ed = exact_diagonalize(h, sector=sector, k=args.k)

@@ -4,60 +4,54 @@ eigenpair extraction, and the weighted error-bound certificate.
 The ensemble energy is a single expectation of H (x) 1 on the evolved
 purified state; no per-state loop ever runs inside the objective.  The
 noiseless path minimizes it with Adam on exact parameter-shift gradients
-under a monotone accept/backtrack rule (see AdamConfig), so the recorded
-trace never rises by more than the monotone tolerance and the 1e-9 Ha
-trailing-window criterion is met honestly rather than by a frozen trace.
-Each run builds one symmetry screen, which makes evaluations cheaper only.
+under a monotone accept/backtrack rule (see the constants below), so the
+recorded trace never rises by more than the monotone tolerance and the
+1e-9 Ha trailing-window criterion is met honestly rather than by a frozen
+trace.  Each run builds one symmetry screen, which makes evaluations
+cheaper only: gradients and backtrack energies share its one forward pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ansatz import (AnsatzCircuit, SymmetryScreen, apply_ansatz,
-                     symmetry_screen, value_and_gradient)
+                     screened_energy, symmetry_screen, value_and_gradient)
 from .pauli import PauliSum, expectation
 from .state_prep import PurifiedPrep, ReferenceSet, WeightVector
 from .statevector import StateVector, init_basis
-from .fermion import number_operator, sz_operator
 
 DEFAULT_THRESHOLD_HA = 1e-9
 CONVERGENCE_WINDOW = 10
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    """Adam under a monotone accept/backtrack rule.
-
-    A proposed step that would raise the objective by more than
-    ``monotone_tol`` is retried within the same iteration at half the
-    learning rate (up to ``max_backtracks``), so every recorded iteration
-    is an accepted, monotone step.  The rate recovers by ``lr_growth``
-    after accepted steps while real progress is still being made (trailing
-    window spread above 1000x the convergence threshold); in the
-    convergence tail it only shrinks, which lets the trailing-window
-    criterion bite honestly.
-    """
-
-    lr: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    monotone_tol: float = 1e-7
-    lr_decay_factor: float = 0.5
-    lr_growth: float = 1.5
-    max_backtracks: int = 50
-    # Saddle probes: a converged run whose extracted energies are not
-    # ascending sits in a permuted stationary configuration (a saddle of
-    # the weighted cost, reachable when reference diagonal ordering
-    # disagrees with the true eigenstate ordering).  Each probe perturbs
-    # theta* by a seeded Gaussian of scale probe_scale and re-descends;
-    # strictly better outcomes are adopted.
-    saddle_probes: int = 4
-    probe_scale: float = 0.1
+# Adam under a monotone accept/backtrack rule, with the moment decays and
+# eps of Kingma & Ba (arXiv:1412.6980).  A proposed step that would raise
+# the objective by more than MONOTONE_TOL is retried within the same
+# iteration at LR_DECAY_FACTOR times the learning rate (up to
+# MAX_BACKTRACKS), so every recorded iteration is an accepted, monotone
+# step.  The rate recovers by LR_GROWTH after accepted steps while real
+# progress is still being made (trailing window spread above 1000x the
+# convergence threshold); in the convergence tail it only shrinks, which
+# lets the trailing-window criterion bite honestly.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+MONOTONE_TOL = 1e-7
+LR_DECAY_FACTOR = 0.5
+LR_GROWTH = 1.5
+MAX_BACKTRACKS = 50
+# Saddle probes: a converged run whose extracted energies are not
+# ascending sits in a permuted stationary configuration (a saddle of the
+# weighted cost, reachable when reference diagonal ordering disagrees with
+# the true eigenstate ordering).  Each of up to SADDLE_PROBES probes
+# perturbs theta* by a seeded Gaussian of scale PROBE_SCALE and
+# re-descends; strictly better outcomes are adopted.
+SADDLE_PROBES = 4
+PROBE_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,7 @@ class QpvqeConfig:
     """Settings of one noiseless optimization.  K and the weights come from
     the purified preparation passed to ``optimize``."""
 
-    adam: AdamConfig = field(default_factory=AdamConfig)
+    lr: float = 0.05                     # Adam's largest learning rate
     max_iterations: int = 5000
     convergence_threshold: float = DEFAULT_THRESHOLD_HA
     seed: int = 0
@@ -101,21 +95,14 @@ class SpectrumResult:
 
 def ensemble_energy(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
                     theta: Sequence[float]) -> float:
-    """<Phi(w)| [U^dag H U] (x) 1 |Phi(w)> via one expectation."""
-    return _energy_only(circuit, theta, h, prep.prepare())
+    """<Phi(w)| [U^dag H U] (x) 1 |Phi(w)> via one expectation on the full
+    register, independent of the optimizer's screened forward pass."""
+    return expectation(h, apply_ansatz(circuit, theta, prep.prepare()))
 
 
 def _window_spread(trace: List[float], window: int) -> float:
     tail = trace[-(window + 1):]
     return max(tail) - min(tail)
-
-
-def _energy_only(circuit: AnsatzCircuit, theta: Sequence[float], h: PauliSum,
-                 initial: StateVector,
-                 screen: Optional[SymmetryScreen] = None) -> float:
-    state = initial.copy()
-    apply_ansatz(circuit, theta, state, screen)
-    return expectation(h, state)
 
 
 def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
@@ -125,8 +112,7 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
                   screen: SymmetryScreen
                   ) -> Tuple[np.ndarray, List[float], bool, int]:
     """One monotone Adam descent; returns (theta, trace, converged, evals)."""
-    adam = config.adam
-    lr = adam.lr
+    lr = config.lr
     theta = theta0.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -139,11 +125,11 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
     converged = False
 
     for iteration in range(1, config.max_iterations + 1):
-        m_new = adam.beta1 * m + (1 - adam.beta1) * grad
-        v_new = adam.beta2 * v + (1 - adam.beta2) * grad * grad
-        m_hat = m_new / (1 - adam.beta1 ** iteration)
-        v_hat = v_new / (1 - adam.beta2 ** iteration)
-        direction = m_hat / (np.sqrt(v_hat) + adam.eps)
+        m_new = BETA1 * m + (1 - BETA1) * grad
+        v_new = BETA2 * v + (1 - BETA2) * grad * grad
+        m_hat = m_new / (1 - BETA1 ** iteration)
+        v_hat = v_new / (1 - BETA2 ** iteration)
+        direction = m_hat / (np.sqrt(v_hat) + EPS)
 
         theta_new = theta - lr * direction
         energy_new, grad_new = value_and_gradient(circuit, theta_new, h,
@@ -152,15 +138,15 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
         if not np.isfinite(energy_new):
             raise FloatingPointError(
                 f"objective diverged at iteration {iteration}")
-        accepted = energy_new <= energy + adam.monotone_tol
+        accepted = energy_new <= energy + MONOTONE_TOL
         if not accepted:
-            for _ in range(adam.max_backtracks):
-                lr *= adam.lr_decay_factor
+            for _ in range(MAX_BACKTRACKS):
+                lr *= LR_DECAY_FACTOR
                 theta_new = theta - lr * direction
-                energy_new = _energy_only(circuit, theta_new, h, initial,
-                                          screen)
+                energy_new = screened_energy(circuit, theta_new, h, initial,
+                                             screen)
                 evaluations += 1
-                if energy_new <= energy + adam.monotone_tol:
+                if energy_new <= energy + MONOTONE_TOL:
                     accepted = True
                     break
             if not accepted:
@@ -183,9 +169,9 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
                 converged = True
                 break
             if spread > 1000.0 * config.convergence_threshold:
-                lr = min(lr * adam.lr_growth, adam.lr)
+                lr = min(lr * LR_GROWTH, config.lr)
         else:
-            lr = min(lr * adam.lr_growth, adam.lr)
+            lr = min(lr * LR_GROWTH, config.lr)
     return theta, trace, converged, evaluations
 
 
@@ -221,12 +207,11 @@ def optimize(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
     energies, states = extract_eigenpairs(circuit, theta, prep.refs, h)
 
     best_energy = trace[-1]
-    for probe_index in range(config.adam.saddle_probes):
+    for probe_index in range(SADDLE_PROBES):
         if _is_ascending(energies):
             break
         rng = np.random.default_rng([config.seed, probe_index])
-        theta_try = theta + config.adam.probe_scale * rng.standard_normal(
-            theta.size)
+        theta_try = theta + PROBE_SCALE * rng.standard_normal(theta.size)
         theta_new, trace_new, converged_new, evals_new = _adam_descent(
             h, circuit, initial, theta_try, config, callback,
             iteration_offset=len(trace) - 1, screen=screen)
@@ -291,9 +276,3 @@ def attach_certificate(result: SpectrumResult, weights: WeightVector,
     result.bound = bound
     result.ed_energies = np.asarray(ed_energies, dtype=float)
     return result
-
-
-def symmetry_expectations(state: StateVector, n_modes: int) -> Tuple[float, float]:
-    """(<N>, <S_z>) of a working-register state."""
-    return (expectation(number_operator(n_modes), state),
-            expectation(sz_operator(n_modes), state))

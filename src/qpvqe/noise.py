@@ -380,10 +380,7 @@ def apply_noisy_gate(rho: DensityMatrix, gate: GateOp,
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for n={n}")
     apply_gate(rho.vec, gate)
-    apply_gate(rho.vec, GateOp(
-        gate.kind, targets=tuple(q + n for q in gate.targets),
-        controls=tuple((q + n, v) for q, v in gate.controls),
-        angle=gate.angle))
+    apply_gate(rho.vec, gate.shifted(n))
     amps = rho.vec.amplitudes
     two_qubit = gate.kind == "CONTROLLED" and len(operands) == 2
     for superop, plan in _noise_channels(calib, n, operands, two_qubit):

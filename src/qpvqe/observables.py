@@ -50,16 +50,13 @@ def ancilla_projector(n_total: int, qubit: int, sign: int) -> PauliSum:
 
 def prepare_pair(circuit: AnsatzCircuit, theta_star: Sequence[float],
                  refs: ReferenceSet, i: int, j: int) -> PairState:
-    """(U|D_i>|0> + U|D_j>|1>)/sqrt(2) from one RY(pi/2) plus flips."""
+    """(U|D_i>|0> + U|D_j>|1>)/sqrt(2): the equal-branch state of the two
+    references, labelled 0 and 1."""
     if i == j:
         raise ValueError("pair needs two distinct reference indices")
-    n = refs.n_qubits
-    state = StateVector(n + 1)
-    apply_gate(state, gate_ry(n, math.pi / 2))
     pair_refs = ReferenceSet((refs.determinants[i], refs.determinants[j]))
-    run_program(state, isometry_network(pair_refs, n_ancilla=1))
-    apply_ansatz(circuit, theta_star, state)
-    return PairState(state, n, i, j)
+    return PairState(_equal_branch_state(circuit, theta_star, pair_refs,
+                                         (0, 1)), refs.n_qubits, i, j)
 
 
 def energy_gap(pair: PairState, h: PauliSum) -> float:

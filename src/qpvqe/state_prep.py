@@ -245,13 +245,7 @@ def build_purified_prep(weights: WeightVector, refs: ReferenceSet) -> PurifiedPr
         raise ValueError("weights and references disagree on K")
     c = n_ancilla_for(refs.k)
     _, cascade = compressed_cascade(weights)
-    shifted = [
-        GateOp(g.kind,
-               targets=tuple(q + refs.n_qubits for q in g.targets),
-               controls=tuple((q + refs.n_qubits, v) for q, v in g.controls),
-               angle=g.angle)
-        for g in cascade
-    ]
+    shifted = [gate.shifted(refs.n_qubits) for gate in cascade]
     network = isometry_network(refs, n_ancilla=c)
     return PurifiedPrep(weights, refs, c, tuple(shifted + network))
 

@@ -78,6 +78,12 @@ class GateOp:
     def operands(self) -> Tuple[int, ...]:
         return tuple(self.targets) + tuple(q for q, _ in self.controls)
 
+    def shifted(self, offset: int) -> "GateOp":
+        """The same gate on qubits ``offset`` higher."""
+        return GateOp(self.kind, tuple(q + offset for q in self.targets),
+                      tuple((q + offset, v) for q, v in self.controls),
+                      self.angle)
+
 
 def gate_x(qubit: int) -> GateOp:
     return GateOp("X", targets=(qubit,))

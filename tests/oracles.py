@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from qpvqe.ansatz import _evolve, apply_ansatz, parameter_vector
+from qpvqe.fermion import number_operator, sz_operator
 from qpvqe.noise import (channel_superoperator, depolarizing_kraus,
                          thermal_relaxation_kraus)
 from qpvqe.observables import _equal_branch_state, ancilla_projector
@@ -327,6 +328,12 @@ def ed_residuals(h, ref):
         out.append(np.linalg.norm(paulisum_action(h, h.n_qubits, v)
                                   - ref.energies[j] * v))
     return np.array(out)
+
+
+def symmetry_expectations(state, n_modes):
+    """(<N>, <S_z>) of a working-register state."""
+    return (expectation(number_operator(n_modes), state),
+            expectation(sz_operator(n_modes), state))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from qpvqe.ansatz import build_uccgsd, gradient
-from qpvqe.driver import (SpsaConfig, ensemble_energy, error_bound,
-                          symmetry_expectations)
+from qpvqe.driver import SpsaConfig, ensemble_energy, error_bound
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import bit_list, parse_record, record_get, sector_indices
 from qpvqe.noise import (ShotSampler, load_calibration, noisy_ensemble_energy,
@@ -31,7 +30,8 @@ from qpvqe.state_prep import (ReferenceSet, WeightVector, build_purified_prep,
 from qpvqe.statevector import init_basis
 
 from conftest import Problem, data_path
-from oracles import ensemble_energy_by_states, expectation_objective
+from oracles import (ensemble_energy_by_states, expectation_objective,
+                     symmetry_expectations)
 
 CHEMICAL_ACCURACY_HA = 1.6e-3
 H4_TOLERANCE_HA = 5e-3

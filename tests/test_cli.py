@@ -54,6 +54,30 @@ class TestRunAndConsumers:
         assert code == 0
         assert open(record_path, "rb").read() == open(other, "rb").read()
 
+    def test_lr_reaches_the_optimizer(self, tmp_path, monkeypatch):
+        import qpvqe.cli as cli
+
+        runs = []
+        real_optimize = cli.optimize
+
+        def spy(h, circuit, prep, config, *args, **kwargs):
+            result = real_optimize(h, circuit, prep, config, *args, **kwargs)
+            runs.append((config.lr, result))
+            return result
+
+        monkeypatch.setattr(cli, "optimize", spy)
+        for lr in ("0.02", "0.05"):
+            assert run_cli(["run", "--hamiltonian", H2, "--sector", "2,0",
+                            "-k", "4", "--max-iterations", "1", "--lr", lr,
+                            "--no-ed", "--out",
+                            str(tmp_path / f"{lr}.rec")]) == 0
+        assert [lr for lr, _ in runs] == [0.02, 0.05]
+        # Adam's first step moves every parameter with a nonzero gradient
+        # by just under the learning rate.
+        for lr, result in runs:
+            assert result.iterations_used == 1
+            assert max(abs(result.theta_star)) == pytest.approx(lr, rel=1e-6)
+
     def test_record_format(self, record_path):
         lines = open(record_path).read().splitlines()
         assert lines[0] == "format: 1"

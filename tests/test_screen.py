@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import full_register_value_and_gradient, string_value_and_gradient
 from qpvqe import ansatz, driver
 from qpvqe.ansatz import (AnsatzCircuit, Rotation, Symmetry, SymmetryScreen,
-                          apply_ansatz, build_uccgsd, symmetry_screen,
-                          value_and_gradient)
-from qpvqe.driver import AdamConfig, QpvqeConfig, optimize
+                          apply_ansatz, build_uccgsd, screened_energy,
+                          symmetry_screen, value_and_gradient)
+from qpvqe.driver import QpvqeConfig, optimize
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import load_hamiltonian
-from qpvqe.pauli import PauliString, PauliSum, z2_symmetries
+from qpvqe.pauli import PauliString, PauliSum, expectation, z2_symmetries
 from qpvqe.state_prep import (build_purified_prep, default_weights,
                               select_reference_determinants)
 from qpvqe.statevector import StateVector
@@ -359,13 +359,13 @@ class TestDescent:
             patch.setattr(driver, "_adam_descent", spy_descent)
             # Force one saddle probe after the first descent.
             patch.setattr(driver, "_is_ascending", lambda energies: False)
+            patch.setattr(driver, "SADDLE_PROBES", 1)
             if not screened:
                 patch.setattr(driver, "symmetry_screen",
                               lambda *args: without_symmetries(
                                   symmetry_screen(*args)))
-            config = QpvqeConfig(max_iterations=40,
-                                 adam=AdamConfig(saddle_probes=1))
-            result = optimize(h, circuit, prep, config)
+            result = optimize(h, circuit, prep,
+                              QpvqeConfig(max_iterations=40))
         return result, calls, descents
 
     def test_probe_descent_runs_unscreened(self, monkeypatch, h2_setup):
@@ -437,13 +437,14 @@ class TestSectorRows:
             assert screen.on(theta) == on
             assert screen.sector(theta).rows.size == size
             assert_bits_of_both_oracles(circuit, theta, h, initial, screen)
-            # the backtrack route: rows scattered into one state
-            rows_state = apply_ansatz(circuit, theta, initial.copy(), screen)
+            # the backtrack energy: the gradient's own forward pass
+            energy = screened_energy(circuit, theta, h, initial, screen)
+            assert same_bits(energy, value_and_gradient(
+                circuit, theta, h, initial, screen)[0])
+            assert same_bits(energy, full_register_value_and_gradient(
+                circuit, theta, h, initial)[0])
             full_state = apply_ansatz(circuit, theta, initial.copy())
-            assert np.array_equal(rows_state.amplitudes, full_state.amplitudes)
-            assert same_bits(driver._energy_only(circuit, theta, h, initial,
-                                                 screen),
-                             driver._energy_only(circuit, theta, h, initial))
+            assert abs(energy - expectation(h, full_state)) <= 1e-12
 
     def test_rows_are_the_on_parity_sector_of_each_branch(self,
                                                           stored_problem):
@@ -503,7 +504,7 @@ class TestSectorRows:
             for _ in range(3):
                 for theta in stored_thetas(screen, circuit.parameter_count):
                     value_and_gradient(circuit, theta, h, initial, screen)
-                    driver._energy_only(circuit, theta, h, initial, screen)
+                    screened_energy(circuit, theta, h, initial, screen)
         everything = tuple(range(len(screens[0].symmetries)))
         constant = tuple(i for i, s in enumerate(screens[0].symmetries)
                          if not s.flags.any())

@@ -73,6 +73,23 @@ class TestGates:
         apply_gate(s, gate_controlled_ry(((0, 1), (1, 1)), 2, np.pi))
         assert np.argmax(np.abs(s.amplitudes)) == 4
 
+    def test_shifted_moves_every_operand(self):
+        gate = gate_controlled_ry(((0, 1), (2, 0)), 1, 0.3)
+        assert gate.shifted(3) == gate_controlled_ry(((3, 1), (5, 0)), 4, 0.3)
+        assert gate_x(1).shifted(2) == gate_x(3)
+        assert gate.shifted(0) == gate
+        # shifted past a two-qubit prefix, the gate acts on the trailing
+        # qubits as it does on their own register
+        rng = np.random.default_rng(5)
+        low = random_state(rng, 3)
+        high = random_state(rng, 2)
+        wide = StateVector(5, np.kron(high.amplitudes, low.amplitudes))
+        apply_gate(low, gate)
+        apply_gate(wide, gate.shifted(2))
+        assert np.allclose(wide.amplitudes,
+                           np.kron(high.amplitudes, low.amplitudes),
+                           atol=1e-14)
+
     def test_out_of_range_qubit(self):
         s = StateVector(2)
         with pytest.raises(ValueError):
