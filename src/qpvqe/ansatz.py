@@ -123,9 +123,6 @@ def build_uccgsd(generators: Sequence[ExcitationGenerator]) -> AnsatzCircuit:
             if abs(coeff.real) > ROTATION_COEFF_TOL:
                 raise ValueError(
                     f"generator {gen.label()} is not anti-Hermitian")
-            if max(string.support(), default=0) >= n_working:
-                raise ValueError(
-                    f"generator {gen.label()} touches ancilla indices")
             rotations.append(Rotation(string, -coeff.imag, gen.parameter_index))
     n_params = 1 + max(g.parameter_index for g in generators)
     return AnsatzCircuit(n_working, tuple(rotations), n_params)

@@ -34,9 +34,10 @@ def spin_of(mode: int) -> float:
 
 
 def _ladder_paulisum(mode: int, dagger: bool, n_modes: int) -> PauliSum:
-    z_prefix = {k: "Z" for k in range(mode)}
-    x_string = PauliString.from_map(n_modes, {**z_prefix, mode: "X"})
-    y_string = PauliString.from_map(n_modes, {**z_prefix, mode: "Y"})
+    bit = 1 << (n_modes - 1 - mode)
+    z_prefix = ((1 << mode) - 1) << (n_modes - mode)   # Z on modes < mode
+    x_string = PauliString(n_modes, bit, z_prefix)
+    y_string = PauliString(n_modes, bit, z_prefix | bit)
     sign = -1.0j if dagger else 1.0j
     return PauliSum(n_modes, {x_string: 0.5, y_string: 0.5 * sign})
 

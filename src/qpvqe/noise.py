@@ -69,12 +69,18 @@ class QubitCalibration:
     freq_ghz: Optional[float] = None
 
     def __post_init__(self):
-        if self.t1_us <= 0 or self.t2_us <= 0:
+        if not (self.t1_us > 0 and self.t2_us > 0):   # NaN fails too
             raise CalibrationError("T1 and T2 must be positive")
         if self.t2_us > 2.0 * self.t1_us + 1e-9:
             raise CalibrationError(f"T2 = {self.t2_us} exceeds 2*T1")
         if not 0.0 <= self.err_1q <= 1.0:
             raise CalibrationError(f"1q error rate {self.err_1q} outside [0, 1]")
+
+
+def _check_gate_time(time_ns: float) -> None:
+    if not 0.0 < time_ns < math.inf:
+        raise CalibrationError(f"gate time {time_ns} must be finite and "
+                               "positive")
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,7 @@ class PairCalibration:
     def __post_init__(self):
         if not 0.0 <= self.err_cnot <= 1.0:
             raise CalibrationError(f"CNOT error rate {self.err_cnot} outside [0, 1]")
-        if self.time_ns <= 0:
-            raise CalibrationError("gate time must be positive")
+        _check_gate_time(self.time_ns)
 
 
 @dataclass(frozen=True)
@@ -118,19 +123,24 @@ class CalibrationData:
 def parse_calibration(text: str) -> CalibrationData:
     """Grammar: ``gate_time_1q_ns <t>``, ``qubit <q> key=value ...`` records
     (t1_us, t2_us, err_1q required; freq_ghz optional; 'inf' allowed for
-    T1/T2), and ``pair <a>,<b> err_cnot=<e> time_ns=<t>`` records."""
+    T1/T2), and ``pair <a>,<b> err_cnot=<e> time_ns=<t>`` records.  A
+    malformed or impossible record raises ``CalibrationError`` naming its
+    line."""
     gate_time = DEFAULT_GATE_TIME_1Q_NS
     qubit_rows: Dict[int, QubitCalibration] = {}
     pairs: Dict[Tuple[int, int], PairCalibration] = {}
 
-    def parse_kv(tokens: Sequence[str], lineno: int) -> Dict[str, float]:
+    def parse_kv(tokens: Sequence[str], required: Sequence[str]
+                 ) -> Dict[str, float]:
         out = {}
         for token in tokens:
             key, sep, value = token.partition("=")
             if not sep:
-                raise CalibrationError(
-                    f"line {lineno}: expected key=value, got {token!r}")
+                raise CalibrationError(f"expected key=value, got {token!r}")
             out[key] = float(value)
+        missing = set(required) - set(out)
+        if missing:
+            raise CalibrationError(f"missing {sorted(missing)}")
         return out
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -138,28 +148,27 @@ def parse_calibration(text: str) -> CalibrationData:
         if not line:
             continue
         head, *rest = line.split()
-        if head == "gate_time_1q_ns":
-            gate_time = float(rest[0])
-        elif head == "qubit":
-            index = int(rest[0])
-            kv = parse_kv(rest[1:], lineno)
-            missing = {"t1_us", "t2_us", "err_1q"} - set(kv)
-            if missing:
-                raise CalibrationError(
-                    f"line {lineno}: qubit {index} missing {sorted(missing)}")
-            qubit_rows[index] = QubitCalibration(
-                kv["t1_us"], kv["t2_us"], kv["err_1q"], kv.get("freq_ghz"))
-        elif head == "pair":
-            a, b = (int(t) for t in rest[0].split(","))
-            kv = parse_kv(rest[1:], lineno)
-            missing = {"err_cnot", "time_ns"} - set(kv)
-            if missing:
-                raise CalibrationError(
-                    f"line {lineno}: pair {a},{b} missing {sorted(missing)}")
-            pairs[(min(a, b), max(a, b))] = PairCalibration(
-                kv["err_cnot"], kv["time_ns"])
-        else:
-            raise CalibrationError(f"line {lineno}: unknown record {head!r}")
+        try:
+            if head == "gate_time_1q_ns":
+                value, = rest
+                gate_time = float(value)
+                _check_gate_time(gate_time)
+            elif head == "qubit":
+                index, *tokens = rest
+                kv = parse_kv(tokens, ("t1_us", "t2_us", "err_1q"))
+                qubit_rows[int(index)] = QubitCalibration(
+                    kv["t1_us"], kv["t2_us"], kv["err_1q"], kv.get("freq_ghz"))
+            elif head == "pair":
+                operands, *tokens = rest
+                a, b = (int(t) for t in operands.split(","))
+                kv = parse_kv(tokens, ("err_cnot", "time_ns"))
+                pairs[(min(a, b), max(a, b))] = PairCalibration(
+                    kv["err_cnot"], kv["time_ns"])
+            else:
+                raise CalibrationError(f"unknown record {head!r}")
+        except ValueError as exc:   # CalibrationError, float, int, unpacking
+            raise CalibrationError(f"line {lineno}: {raw.strip()!r}: {exc}"
+                                   ) from None
     if not qubit_rows:
         raise CalibrationError("calibration has no qubit records")
     n = max(qubit_rows) + 1

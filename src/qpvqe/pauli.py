@@ -1,15 +1,16 @@
 """Algebra of n-qubit Pauli strings and real-weighted sums.
 
-A ``PauliString`` stores only its non-identity letters, keyed by qubit
-index; ``PauliSum`` is a simplified map string -> coefficient.  Qubit 0 is
-the most significant bit of the computational-basis index throughout, so
-the bitstring |1100> denotes qubits 0 and 1 occupied (basis index 12 on
-four qubits).
+A ``PauliString`` is its symplectic (x|z) form: two integer bit masks on
+its own register, with letters only at the parse and print boundary.
+``PauliSum`` is a simplified map string -> coefficient.  Qubit 0 is the
+most significant bit of the computational-basis index and of the masks
+throughout, so the bitstring |1100> denotes qubits 0 and 1 occupied (basis
+index 12 on four qubits).
 
 Phases arising from string products are tracked exactly as powers of i
-(a 2-bit counter), never as floating point.
+(popcounts of the masks mod 4), never as floating point.
 
-A string maps |j> to a phase times |j ^ m>, m its X/Y bit mask.  The
+A string maps |j> to a phase times |j ^ x>, x its X/Y bit mask.  The
 ``StringPlan`` compiled from it once per register size, and kept on the
 owning ``PauliSum`` (``plans``) or ansatz circuit, is the only place any
 module reads that action.  Its flip, sign tensor, scalar and mask serve
@@ -41,18 +42,9 @@ DENSE_BYTES_GUARD = 1 << 28
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
-# (a, b) -> (power of i, product letter); identity results map to "".
-_PRODUCT_TABLE = {
-    ("X", "X"): (0, ""),
-    ("Y", "Y"): (0, ""),
-    ("Z", "Z"): (0, ""),
-    ("X", "Y"): (1, "Z"),
-    ("Y", "Z"): (1, "X"),
-    ("Z", "X"): (1, "Y"),
-    ("Y", "X"): (3, "Z"),
-    ("Z", "Y"): (3, "X"),
-    ("X", "Z"): (3, "Y"),
-}
+# letter -> (x bit, z bit), and back by index x | z << 1 ("" is identity)
+_LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_LETTERS = ("", "X", "Z", "Y")
 
 
 class DimensionMismatch(ValueError):
@@ -61,42 +53,50 @@ class DimensionMismatch(ValueError):
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor product of single-qubit Paulis, identity on unlisted qubits.
+    """Tensor product of single-qubit Paulis as its (x|z) bit masks.
 
-    ``items`` is the canonical (qubit, letter) listing, sorted by qubit.
-    The all-identity string is the unique empty tuple.
+    Bit n-1-q of ``x`` and ``z`` holds qubit q's letter: X is (1, 0),
+    Z is (0, 1), Y is (1, 1) and identity (0, 0), so qubit 0 is the most
+    significant bit (Aaronson & Gottesman, quant-ph/0406196).  The
+    all-identity string is x = z = 0.  Letters are read in by ``from_map``
+    and ``from_word`` and written out by ``items``, ``word`` and
+    ``support``.
     """
 
     n_qubits: int
-    items: Tuple[Tuple[int, str], ...] = ()
+    x: int = 0
+    z: int = 0
 
     def __post_init__(self):
         if self.n_qubits <= 0:
             raise ValueError("n_qubits must be positive")
-        seen = -1
-        for qubit, letter in self.items:
-            if letter not in ("X", "Y", "Z"):
-                raise ValueError(f"unknown Pauli letter {letter!r}")
-            if not 0 <= qubit < self.n_qubits:
-                raise ValueError(f"qubit {qubit} out of range for n={self.n_qubits}")
-            if qubit <= seen:
-                raise ValueError("items must be strictly ascending by qubit")
-            seen = qubit
+        if (self.x | self.z) >> self.n_qubits:
+            raise ValueError(f"masks ({self.x}, {self.z}) out of range for "
+                             f"n={self.n_qubits}")
 
     @classmethod
     def from_map(cls, n_qubits: int, letters: Mapping[int, str]) -> "PauliString":
-        return cls(n_qubits, tuple(sorted(letters.items())))
+        x = z = 0
+        for qubit, letter in letters.items():
+            if letter not in _LETTER_BITS:
+                raise ValueError(f"unknown Pauli letter {letter!r}")
+            if not 0 <= qubit < n_qubits:
+                raise ValueError(f"qubit {qubit} out of range for n={n_qubits}")
+            bit_x, bit_z = _LETTER_BITS[letter]
+            x |= bit_x << (n_qubits - 1 - qubit)
+            z |= bit_z << (n_qubits - 1 - qubit)
+        return cls(n_qubits, x, z)
 
     @classmethod
     def from_word(cls, n_qubits: int, word: str) -> "PauliString":
         """Parse words like "X0 Z3 Y5"; the literal "I" is the identity."""
         word = word.strip()
         if word == "I" or word == "":
-            return cls(n_qubits, ())
+            return cls(n_qubits)
         letters: Dict[int, str] = {}
         for factor in word.split():
             letter, index = factor[0].upper(), factor[1:]
-            if letter not in ("X", "Y", "Z") or not index.isdigit():
+            if letter not in _LETTER_BITS or not index.isdigit():
                 raise ValueError(f"bad Pauli factor {factor!r}")
             qubit = int(index)
             if qubit in letters:
@@ -105,56 +105,48 @@ class PauliString:
         return cls.from_map(n_qubits, letters)
 
     @property
-    def is_identity(self) -> bool:
-        return not self.items
+    def items(self) -> Tuple[Tuple[int, str], ...]:
+        """The (qubit, letter) listing of the non-identity qubits, by qubit."""
+        out = []
+        for qubit in range(self.n_qubits):
+            shift = self.n_qubits - 1 - qubit
+            letter = _LETTERS[(self.x >> shift & 1) | (self.z >> shift & 1) << 1]
+            if letter:
+                out.append((qubit, letter))
+        return tuple(out)
 
     @property
-    def weight(self) -> int:
-        return len(self.items)
+    def is_identity(self) -> bool:
+        return not (self.x | self.z)
 
     def support(self) -> Tuple[int, ...]:
-        return tuple(q for q, _ in self.items)
+        mask = self.x | self.z
+        return tuple(q for q in range(self.n_qubits)
+                     if mask >> (self.n_qubits - 1 - q) & 1)
 
     def word(self) -> str:
-        if not self.items:
+        if self.is_identity:
             return "I"
         return " ".join(f"{letter}{qubit}" for qubit, letter in self.items)
-
-    def embed(self, n_qubits: int) -> "PauliString":
-        """Same letters on a register of ``n_qubits`` >= current size."""
-        if n_qubits < self.n_qubits:
-            raise DimensionMismatch("cannot shrink a Pauli string")
-        return PauliString(n_qubits, self.items)
 
     def __str__(self) -> str:
         return self.word()
 
 
 def multiply(a: PauliString, b: PauliString) -> Tuple[complex, PauliString]:
-    """Product a*b as (phase, string) with phase in {1, i, -1, -i}."""
+    """Product a*b as (phase, string) with phase in {1, i, -1, -i}.
+
+    Per qubit a string is i^{xz} X^x Z^z, and Z^z X^x' = (-1)^{zx'} X^x' Z^z,
+    so the product's power of i is #Y(a) + #Y(b) + 2 #(a.z & b.x) - #Y(ab)
+    mod 4, each # a popcount.
+    """
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatch(
             f"string sizes differ: {a.n_qubits} vs {b.n_qubits}")
-    ipow = 0
-    out = []
-    ia, ib = 0, 0
-    items_a, items_b = a.items, b.items
-    while ia < len(items_a) or ib < len(items_b):
-        if ib >= len(items_b) or (ia < len(items_a) and items_a[ia][0] < items_b[ib][0]):
-            out.append(items_a[ia])
-            ia += 1
-        elif ia >= len(items_a) or items_b[ib][0] < items_a[ia][0]:
-            out.append(items_b[ib])
-            ib += 1
-        else:
-            qubit = items_a[ia][0]
-            power, letter = _PRODUCT_TABLE[(items_a[ia][1], items_b[ib][1])]
-            ipow = (ipow + power) & 3
-            if letter:
-                out.append((qubit, letter))
-            ia += 1
-            ib += 1
-    return _I_POWERS[ipow], PauliString(a.n_qubits, tuple(out))
+    x, z = a.x ^ b.x, a.z ^ b.z
+    power = ((a.x & a.z).bit_count() + (b.x & b.z).bit_count()
+             + 2 * (a.z & b.x).bit_count() - (x & z).bit_count())
+    return _I_POWERS[power & 3], PauliString(a.n_qubits, x, z)
 
 
 class PauliSum:
@@ -247,6 +239,8 @@ class PauliSum:
         return all(abs(c.real) <= tol for c in self._terms.values())
 
     def sorted_terms(self) -> list:
+        """Terms by (qubit, letter) listing: the frozen rotation order of
+        ``ansatz.build_uccgsd`` and the line order of serialized files."""
         return sorted(self._terms.items(), key=lambda kv: kv[0].items)
 
     def __repr__(self) -> str:
@@ -269,14 +263,15 @@ def add_simplify(a: PauliSum, b: PauliSum) -> PauliSum:
 # Action on dense amplitude arrays.
 #
 # A Pauli string maps every basis state to exactly one basis state:
-# P|j (+) m> picks up (-i)^{#Y} * prod_{q in Y u Z} (-1)^{j_q}, where m is
-# the X/Y bit mask.  Flipping a size-2 tensor axis is a numpy view, so one
-# string application costs two elementwise passes over 2^n amplitudes.
+# P|j (+) x> picks up (-i)^{#Y} * (-1)^{parity(j & z)}, where x and z are
+# the string's masks on the register and #Y = popcount(x & z).  Flipping a
+# size-2 tensor axis is a numpy view, so one string application costs two
+# elementwise passes over 2^n amplitudes.
 #
 # Each string is compiled once per register size into a StringPlan: the
-# slice tuple np.flip would build, the cached +-1 sign tensor, the scalar
-# (-i)^{#Y} and the integer mask m (qubit 0 is its most significant bit),
-# so that P|j> = scalar * sign[j ^ m] * |j ^ m>.  Plans live on the objects
+# slice tuple np.flip would build for the X/Y axes, the +-1 sign tensor
+# cached by Z mask, the scalar (-i)^{#Y} and the X mask m = x, so that
+# P|j> = scalar * sign[j ^ m] * |j ^ m>.  Plans live on the objects
 # they derive from (``PauliSum.plans``, ``AnsatzCircuit.plans``), never in
 # a module cache keyed by object identity.  A plan runs exactly the
 # elementwise operations of the uncompiled route, in the same order and on
@@ -290,52 +285,53 @@ def add_simplify(a: PauliSum, b: PauliSum) -> PauliSum:
 #
 # A RowPlan is the same plan on M sorted rows that the string maps onto
 # themselves: its flip gathers the positions of rows ^ m and its signs are
-# the int8 signs at the rows, read off the string's Z/Y bits.  act and
+# the int8 signs at the rows, read off the string's Z mask.  act and
 # rotate then run the same elementwise operations on the (M,) or (..., M)
 # row arrays, so every row holds the bits the full register would.  Only
 # elementwise work may move to rows: BLAS sums a vdot by index position,
 # so reductions must still run over full-length arrays.
 # ---------------------------------------------------------------------------
 
-# Sign tensors are shared by plans with equal (register, axes); the bound
-# holds all 616 keys of a LiH ``run`` (solve, extraction and ED).
+# Sign tensors are shared by plans with equal (register, Z mask); the bound
+# holds all 308 keys of a LiH ``run`` (solve, extraction and ED).
 SIGN_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=SIGN_CACHE_SIZE)
-def _sign_vector(n_qubits: int, axes: Tuple[int, ...]) -> np.ndarray:
-    """int8 tensor of prod_{q in axes} (-1)^{j_q}; +-1 is exact in any dtype."""
-    vec = np.ones((2,) * n_qubits, dtype=np.int8)
-    for q in axes:
-        vec[(slice(None),) * q + (slice(1, 2),)] *= -1
-    return vec
+def _sign_vector(n_qubits: int, z_mask: int) -> np.ndarray:
+    """int8 tensor of (-1)^{parity(j & z_mask)}; +-1 is exact in any dtype."""
+    return _parity_signs(np.arange(1 << n_qubits), z_mask).reshape(
+        (2,) * n_qubits)
 
 
-def _string_axes(string: PauliString) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
-    xy = tuple(q for q, letter in string.items if letter in ("X", "Y"))
-    zy = tuple(q for q, letter in string.items if letter in ("Z", "Y"))
-    n_y = sum(1 for _, letter in string.items if letter == "Y")
-    return xy, zy, n_y
+def _parity_signs(values: np.ndarray, z_mask: int) -> np.ndarray:
+    """int8 (-1)^{parity(v & z_mask)} of each integer v in ``values``."""
+    return (1 - 2 * parities(values, z_mask)).astype(np.int8)
 
 
-def _bit_mask(qubits: Iterable[int], n_qubits: int) -> int:
-    """Integer mask of ``qubits`` on a n-qubit register, qubit 0 most
-    significant."""
-    return sum(1 << (n_qubits - 1 - q) for q in qubits)
+def _register_masks(string: PauliString, n_qubits: int) -> Tuple[int, int]:
+    """The string's (x, z) masks on a register of ``n_qubits``, whose first
+    qubits are the string's own."""
+    if string.n_qubits > n_qubits:
+        raise DimensionMismatch("string larger than state register")
+    shift = n_qubits - string.n_qubits
+    return string.x << shift, string.z << shift
 
 
 def flip_mask(string: PauliString, n_qubits: int) -> int:
     """The X/Y mask m of a string on a n-qubit register: P|j> ~ |j ^ m>."""
-    return _bit_mask(_string_axes(string)[0], n_qubits)
+    return _register_masks(string, n_qubits)[0]
 
 
 def parities(values: np.ndarray, mask: int) -> np.ndarray:
-    """parity(v & mask), 0 or 1, of each integer v in ``values``."""
-    out = np.zeros(values.shape, dtype=values.dtype)
-    for bit in range(mask.bit_length()):
-        if mask >> bit & 1:
-            out ^= values >> bit & 1
-    return out
+    """parity(v & mask), 0 or 1, of each integer v in ``values``: the
+    masked bits folded onto bit 0 by halving shifts."""
+    out = values & mask
+    shift = 1 << max(mask.bit_length() - 1, 0).bit_length()
+    while shift > 1:
+        shift >>= 1
+        out ^= out >> shift
+    return out & 1
 
 
 _KEEP = slice(None)
@@ -354,17 +350,15 @@ class StringPlan:
     __slots__ = ("flip", "signs", "scalar", "mask")
 
     def __init__(self, string: PauliString, n_qubits: int):
-        if string.n_qubits > n_qubits:
-            raise DimensionMismatch("string larger than state register")
-        xy, zy, n_y = _string_axes(string)
-        # np.flip(tensor, xy) is tensor[flip]; the leading Ellipsis lets the
-        # same tuple address the last n axes of a stacked array.
-        self.flip = ((Ellipsis,) + tuple(_REVERSE if q in xy else _KEEP
-                                         for q in range(n_qubits))
-                     if xy else None)
-        self.signs = _sign_vector(n_qubits, zy) if zy else None
-        self.scalar = _I_POWERS[(-n_y) & 3]  # (-i)^{#Y}
-        self.mask = _bit_mask(xy, n_qubits)
+        x, z = _register_masks(string, n_qubits)
+        # np.flip(tensor, X/Y axes) is tensor[flip]; the leading Ellipsis
+        # lets the same tuple address the last n axes of a stacked array.
+        self.flip = ((Ellipsis,) + tuple(
+            _REVERSE if x >> (n_qubits - 1 - q) & 1 else _KEEP
+            for q in range(n_qubits)) if x else None)
+        self.signs = _sign_vector(n_qubits, z) if z else None
+        self.scalar = _I_POWERS[-(x & z).bit_count() & 3]  # (-i)^{#Y}
+        self.mask = x
 
     def _flipped(self, tensor: np.ndarray) -> np.ndarray:
         return tensor[self.flip] if self.flip is not None else tensor
@@ -421,7 +415,7 @@ class SectorRows:
         """int8 prod over the Z/Y qubits of (-1)^{j_q} at each row j."""
         signs = self._signs.get(z_mask)
         if signs is None:
-            signs = (1 - 2 * parities(self.rows, z_mask)).astype(np.int8)
+            signs = _parity_signs(self.rows, z_mask)
             self._signs[z_mask] = signs
         return signs
 
@@ -433,14 +427,11 @@ class RowPlan(StringPlan):
     __slots__ = ()
 
     def __init__(self, string: PauliString, sector: SectorRows):
-        n_qubits = sector.n_qubits
-        if string.n_qubits > n_qubits:
-            raise DimensionMismatch("string larger than state register")
-        xy, zy, n_y = _string_axes(string)
-        self.mask = _bit_mask(xy, n_qubits)
-        self.flip = sector.gather(self.mask) if xy else None
-        self.signs = sector.signs(_bit_mask(zy, n_qubits)) if zy else None
-        self.scalar = _I_POWERS[(-n_y) & 3]
+        x, z = _register_masks(string, sector.n_qubits)
+        self.mask = x
+        self.flip = sector.gather(x) if x else None
+        self.signs = sector.signs(z) if z else None
+        self.scalar = _I_POWERS[-(x & z).bit_count() & 3]  # (-i)^{#Y}
 
     def _flipped(self, tensor: np.ndarray) -> np.ndarray:
         # take, not tensor[..., flip]: the same values in a C-ordered array,
@@ -586,12 +577,11 @@ def to_matrix(h: PauliSum, basis: Optional[Sequence[int]] = None
 
 def matrix_diagonal(h: PauliSum, basis: Sequence[int]) -> np.ndarray:
     """``to_matrix(h, basis).diagonal()`` bit for bit, without a plan: it
-    sums the scatter's coeff * (scalar * sign[b]) over the mask-0 terms."""
+    sums the scatter's coeff * (scalar * sign[b]) over the x = 0 terms."""
     basis = np.asarray(basis, dtype=np.intp)
     out = np.zeros(basis.size, dtype=complex)
     for string, coeff in h.items():
-        xy, zy, _ = _string_axes(string)
-        if not xy:
-            out += coeff * (_I_POWERS[0] if not zy else _I_POWERS[0] *
-                            _sign_vector(h.n_qubits, zy).reshape(-1)[basis])
+        if not string.x:
+            out += coeff * (_I_POWERS[0] if not string.z else _I_POWERS[0] *
+                            _parity_signs(basis, string.z))
     return out

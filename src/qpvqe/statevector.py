@@ -17,8 +17,6 @@ import numpy as np
 
 from .pauli import DimensionMismatch, PauliString, StringPlan
 
-GATE_NORM_TOL = 1e-12
-
 
 class StateVector:
     """2^n complex amplitudes, exclusively owned during mutation."""

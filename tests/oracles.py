@@ -9,8 +9,8 @@ from qpvqe.fermion import number_operator, sz_operator
 from qpvqe.noise import (channel_superoperator, depolarizing_kraus,
                          thermal_relaxation_kraus)
 from qpvqe.observables import _equal_branch_state, ancilla_projector
-from qpvqe.pauli import (PauliString, PauliSum, _I_POWERS, _string_axes,
-                         expectation, paulisum_action)
+from qpvqe.pauli import (PauliString, PauliSum, _I_POWERS, expectation,
+                         paulisum_action)
 from qpvqe.statevector import (GateOp, StateVector, apply_gate,
                                apply_pauli_exponential, init_basis)
 
@@ -39,10 +39,15 @@ def kron_matrix(h: PauliSum) -> np.ndarray:
     return out
 
 
+def embed_string(string, n_qubits):
+    """The same letters on a register of ``n_qubits`` >= the string's."""
+    return PauliString.from_map(n_qubits, dict(string.items))
+
+
 def rotation_unitary(string: PauliString, angle: float,
                      n_qubits: int) -> np.ndarray:
     """cos(angle/2) 1 - i sin(angle/2) P from the dense Kronecker P."""
-    mat = kron_matrix(PauliSum(n_qubits, {string.embed(n_qubits): 1.0}))
+    mat = kron_matrix(PauliSum(n_qubits, {embed_string(string, n_qubits): 1.0}))
     half = angle / 2.0
     return np.cos(half) * np.eye(1 << n_qubits) - 1j * np.sin(half) * mat
 
@@ -67,6 +72,14 @@ def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
 # StringPlan route must reproduce it bit for bit.
 # ---------------------------------------------------------------------------
 
+def letter_axes(string):
+    """X/Y qubits, Z/Y qubits and the Y count, read off the letters."""
+    letters = string.items
+    xy = tuple(q for q, letter in letters if letter in ("X", "Y"))
+    zy = tuple(q for q, letter in letters if letter in ("Z", "Y"))
+    return xy, zy, sum(letter == "Y" for _, letter in letters)
+
+
 def kron_sign_vector(n_qubits, axes):
     vec = np.ones(1, dtype=np.float64)
     minus = np.array([1.0, -1.0])
@@ -77,7 +90,7 @@ def kron_sign_vector(n_qubits, axes):
 
 
 def string_pauli_action(string, n_qubits, amps):
-    xy, zy, n_y = _string_axes(string)
+    xy, zy, n_y = letter_axes(string)
     tensor = amps.reshape((2,) * n_qubits)
     flipped = np.flip(tensor, axis=xy) if xy else tensor
     scalar = _I_POWERS[(-n_y) & 3]
@@ -91,7 +104,7 @@ def string_pauli_action(string, n_qubits, amps):
 
 
 def string_pauli_exponential(state, string, angle):
-    xy, zy, n_y = _string_axes(string)
+    xy, zy, n_y = letter_axes(string)
     tensor = state.tensor()
     flipped = np.flip(tensor, axis=xy) if xy else tensor
     c = math.cos(angle / 2.0)
@@ -300,9 +313,9 @@ def string_noisy_ansatz(rho, circuit, theta, calib):
         if angle == 0.0:
             continue
         apply_pauli_exponential(rho.vec, rot.string, angle)
-        column = PauliString(2 * n, tuple((q + n, letter)
-                                          for q, letter in rot.string.items))
-        n_y = sum(letter == "Y" for _, letter in rot.string.items)
+        column = PauliString.from_map(
+            2 * n, {q + n: letter for q, letter in rot.string.items})
+        n_y = letter_axes(rot.string)[2]
         apply_pauli_exponential(rho.vec, column,
                                 (1.0 if n_y % 2 else -1.0) * angle)
         amps = rho.vec.amplitudes
@@ -345,7 +358,8 @@ def symmetry_expectations(state, n_modes):
 
 def embedded(h, n_qubits):
     """H's strings and coefficients on a register of ``n_qubits``."""
-    return PauliSum(n_qubits, {s.embed(n_qubits): c for s, c in h.items()})
+    return PauliSum(n_qubits, {embed_string(s, n_qubits): c
+                               for s, c in h.items()})
 
 
 def with_ancilla_factor(h, n_total, n_working, ancilla_ops):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,12 +57,17 @@ class TestBuildUccgsd:
         with pytest.raises(ValueError):
             build_uccgsd([])
 
-    def test_rotation_string_order_frozen(self, m2_circuit):
-        again = build_uccgsd(enumerate_sz_excitations(2))
-        assert [(r.string.items, r.coefficient, r.parameter_index)
-                for r in m2_circuit.rotations] == \
-               [(r.string.items, r.coefficient, r.parameter_index)
-                for r in again.rotations]
+    def test_rotation_string_order_frozen(self):
+        # LiH's circuit (m_spatial = 5): every rotation's word, exact
+        # coefficient and parameter, in circuit order, pinned by SHA-256.
+        # Trotterized circuits depend on the order, so a change here
+        # changes every stored run.
+        circuit = build_uccgsd(enumerate_sz_excitations(5))
+        assert (circuit.parameter_count, len(circuit.rotations)) == (400, 2520)
+        text = "".join(f"{r.string.word()} {r.coefficient.hex()} "
+                       f"{r.parameter_index}\n" for r in circuit.rotations)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "1f164f466743b05f94519ccc4ca79e670bde65cbee9991aad8adb1555cf3387a"
 
 
 class TestApplyAnsatz:

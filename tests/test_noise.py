@@ -126,6 +126,30 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             parse_calibration("qubit 0 t1_us=10 err_1q=0\n")
 
+    @pytest.mark.parametrize("record", [
+        "qubit 0 t1_us=nan t2_us=10 err_1q=0",
+        "qubit 0 t1_us=10 t2_us=nan err_1q=0",
+        "qubit 0 t1_us=-inf t2_us=10 err_1q=0",
+        "pair 0,1 err_cnot=0.01 time_ns=inf",
+        "pair 0,1 err_cnot=0.01 time_ns=nan",
+        "pair 0,1 err_cnot=0.01 time_ns=0",
+        "gate_time_1q_ns -35",
+        "gate_time_1q_ns inf",
+        "gate_time_1q_ns nan",
+        "gate_time_1q_ns",
+        "gate_time_1q_ns 35 36",
+        "qubit",
+        "qubit x t1_us=10 t2_us=10 err_1q=0",
+        "qubit 0 t1_us=ten t2_us=10 err_1q=0",
+        "pair",
+        "pair 0 err_cnot=0.01 time_ns=300",
+        "pair 0,1,2 err_cnot=0.01 time_ns=300",
+    ])
+    def test_bad_record_rejected_with_its_line(self, record):
+        text = "qubit 0 t1_us=inf t2_us=inf err_1q=0\n" + record + "\n"
+        with pytest.raises(CalibrationError, match="^line 2: "):
+            parse_calibration(text)
+
     def test_qubit_wraparound_and_pair_fallback(self, manila):
         assert manila.qubit(5) == manila.qubit(0)
         fallback = manila.pair(0, 3)

@@ -50,6 +50,11 @@ def random_hermitian_sum(rng, n, terms=12):
     return PauliSum(n, acc)
 
 
+def z_mask(n, axes):
+    """Bit mask of the qubits ``axes``, qubit 0 most significant."""
+    return sum(1 << (n - 1 - q) for q in axes)
+
+
 def theta_with_zeros(rng, count):
     theta = rng.uniform(-1.0, 1.0, count)
     theta[rng.random(count) < 0.3] = 0.0
@@ -68,7 +73,7 @@ def m2_circuit():
 class TestSignVector:
     @pytest.mark.parametrize("axes", [(0,), (1, 3), (0, 2, 4), (4,)])
     def test_int8_matches_kron(self, axes):
-        vec = _sign_vector(5, axes)
+        vec = _sign_vector(5, z_mask(5, axes))
         assert vec.dtype == np.int8
         assert np.array_equal(vec, kron_sign_vector(5, axes))
 
@@ -85,7 +90,7 @@ class TestSignVector:
             if string.is_identity:
                 continue
             plan = StringPlan(string, n)
-            assert plan.signs.tobytes() == fresh(n, axes).tobytes()
+            assert plan.signs.tobytes() == fresh(n, z_mask(n, axes)).tobytes()
             assert _sign_vector.cache_info().currsize <= SIGN_CACHE_SIZE
         assert _sign_vector.cache_info().currsize == SIGN_CACHE_SIZE
 
