@@ -19,14 +19,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ansatz import build_uccgsd
-from .driver import (QpvqeConfig, SpectrumResult, SpsaConfig,
-                     attach_certificate, optimize)
+from .driver import (DEFAULT_THRESHOLD_HA, QpvqeConfig, SpectrumResult,
+                     SpsaConfig, attach_certificate, optimize)
 from .fermion import enumerate_sz_excitations
 from .harness import (exact_diagonalize, format_float,
                       load_hamiltonian, load_manifest, parse_record,
                       record_get, record_get_all, write_record)
-from .noise import (ShotSampler, load_calibration, noisy_ensemble_energy,
-                    spsa_optimize, totally_mixed_energy)
+from .noise import (DEFAULT_SHOTS, ShotSampler, load_calibration,
+                    noisy_ensemble_energy, spsa_optimize,
+                    totally_mixed_energy)
 from .observables import (energy_gap, gap_from_full_purified, prepare_pair,
                           supported_projector_pairs, transition_amplitude)
 from .pauli import PauliSum
@@ -299,9 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("-k", type=int, default=4)
     p.add_argument("--sector", required=True, help="N,Sz e.g. 2,0")
-    p.add_argument("--max-iterations", type=int, default=5000)
-    p.add_argument("--threshold", type=float, default=1e-9)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--max-iterations", type=int,
+                   default=QpvqeConfig.max_iterations)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_HA)
+    p.add_argument("--lr", type=float, default=QpvqeConfig.lr)
     p.add_argument("--excitations", nargs="*", default=None,
                    help="effective generator labels like d:0,1,2,3")
     p.add_argument("--no-ed", action="store_true",
@@ -314,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--sector", default="2,0")
     p.add_argument("-k", type=int, default=4)
-    p.add_argument("--max-iterations", type=int, default=5000)
-    p.add_argument("--threshold", type=float, default=1e-9)
+    p.add_argument("--max-iterations", type=int,
+                   default=QpvqeConfig.max_iterations)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_HA)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     common(p)
@@ -351,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", required=True)
     p.add_argument("-k", type=int, default=4)
     p.add_argument("--sector", required=True)
-    p.add_argument("--shots", type=int, default=10_000)
+    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     p.add_argument("--iterations", type=int, default=400)
     p.add_argument("--excitations", nargs="*", default=None)
     p.add_argument("--out", default=None)

@@ -124,8 +124,9 @@ def parse_calibration(text: str) -> CalibrationData:
     """Grammar: ``gate_time_1q_ns <t>``, ``qubit <q> key=value ...`` records
     (t1_us, t2_us, err_1q required; freq_ghz optional; 'inf' allowed for
     T1/T2), and ``pair <a>,<b> err_cnot=<e> time_ns=<t>`` records.  A
-    malformed or impossible record raises ``CalibrationError`` naming its
-    line."""
+    malformed or impossible record, or a second record for the same qubit
+    or pair (``pair 1,0`` repeats ``pair 0,1``), raises ``CalibrationError``
+    naming its line."""
     gate_time = DEFAULT_GATE_TIME_1Q_NS
     qubit_rows: Dict[int, QubitCalibration] = {}
     pairs: Dict[Tuple[int, int], PairCalibration] = {}
@@ -143,6 +144,11 @@ def parse_calibration(text: str) -> CalibrationData:
             raise CalibrationError(f"missing {sorted(missing)}")
         return out
 
+    def unique(records: Dict, key):
+        if key in records:
+            raise CalibrationError("duplicates an earlier record")
+        return key
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -156,13 +162,13 @@ def parse_calibration(text: str) -> CalibrationData:
             elif head == "qubit":
                 index, *tokens = rest
                 kv = parse_kv(tokens, ("t1_us", "t2_us", "err_1q"))
-                qubit_rows[int(index)] = QubitCalibration(
+                qubit_rows[unique(qubit_rows, int(index))] = QubitCalibration(
                     kv["t1_us"], kv["t2_us"], kv["err_1q"], kv.get("freq_ghz"))
             elif head == "pair":
                 operands, *tokens = rest
                 a, b = (int(t) for t in operands.split(","))
                 kv = parse_kv(tokens, ("err_cnot", "time_ns"))
-                pairs[(min(a, b), max(a, b))] = PairCalibration(
+                pairs[unique(pairs, (min(a, b), max(a, b)))] = PairCalibration(
                     kv["err_cnot"], kv["time_ns"])
             else:
                 raise CalibrationError(f"unknown record {head!r}")
@@ -380,8 +386,8 @@ def apply_noisy_gate(rho: DensityMatrix, gate: GateOp,
                      calib: CalibrationData) -> DensityMatrix:
     """Ideal gate, then depolarizing, then relaxation on the operands.
 
-    Serves the theta-independent preparation gates.  Every gate kind is
-    real, so its column half is the same gate on qubits shifted by n.
+    Serves the theta-independent preparation gates.  X and RY are real,
+    so the column half is the same gate on qubits shifted by n.
     """
     n = rho.n_qubits
     operands = tuple(sorted(gate.operands()))
@@ -391,7 +397,7 @@ def apply_noisy_gate(rho: DensityMatrix, gate: GateOp,
     apply_gate(rho.vec, gate)
     apply_gate(rho.vec, gate.shifted(n))
     amps = rho.vec.amplitudes
-    two_qubit = gate.kind == "CONTROLLED" and len(operands) == 2
+    two_qubit = len(operands) == 2
     for superop, plan in _noise_channels(calib, n, operands, two_qubit):
         amps[plan] = superop @ amps[plan]
     return rho
@@ -514,6 +520,9 @@ def spsa_optimize(objective: Callable[[np.ndarray], float],
     The trace records (y+ + y-)/2 per iteration; reproducibility is exact
     for a fixed seed.
     """
+    if max_iterations < 1:
+        raise ValueError(f"SPSA needs at least one iteration, got "
+                         f"{max_iterations}")
     theta = np.asarray(theta0, dtype=float).copy()
     rng = np.random.default_rng(seed)
     best_theta = theta.copy()

@@ -1,10 +1,11 @@
 """Dense pure-state simulator.
 
 Amplitudes live in a flat complex array of length 2^n with qubit 0 as the
-most significant bit; gates act in place through reshaped (2,)*n views, so
-a one-qubit gate costs O(2^n).  Multi-controlled gates are supported
-natively, and Pauli-string exponentials act directly on amplitude pairs
-rather than via any gate decomposition.
+most significant bit.  Every action runs on a compiled ``StringPlan``: a
+preparation gate is the X plan's ``act`` or the Y plan's ``rotate`` on the
+slice of the (2,)*n view where its controls hold, so a gate costs O(2^n)
+whatever its control count, and a Pauli-string exponential is its
+string's ``rotate``, with no gate decomposition.
 """
 
 from __future__ import annotations
@@ -47,21 +48,20 @@ class StateVector:
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
-    def probability(self, index: int) -> float:
-        return float(abs(self.amplitudes[index]) ** 2)
-
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate of the preparation/measurement programs.
+    """One gate of the preparation/measurement programs: X on ``target``
+    when ``angle`` is None, else RY(angle), applied where every control
+    qubit holds its value (``controls`` are (qubit, value) pairs; a CNOT is
+    the one-control X).
 
-    kinds: "X", "RY" (angle), and "CONTROLLED" (controls as (qubit,
-    value) pairs wrapping an X or RY target; a CNOT is the one-control X).
-    Ansatz rotations are not gates: they run on compiled ``StringPlan``s.
+    Both are Pauli-string actions on the target: X itself, and
+    RY(angle) = exp(-i angle/2 Y), so ``apply_gate`` runs them as the X
+    plan's ``act`` or the Y plan's ``rotate`` on the control slice.
     """
 
-    kind: str
-    targets: Tuple[int, ...] = ()
+    target: int
     controls: Tuple[Tuple[int, int], ...] = ()
     angle: Optional[float] = None
 
@@ -72,37 +72,38 @@ class GateOp:
         for _, value in self.controls:
             if value not in (0, 1):
                 raise ValueError("control values must be 0 or 1")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError("RY requires a finite angle")
 
     def operands(self) -> Tuple[int, ...]:
-        return tuple(self.targets) + tuple(q for q, _ in self.controls)
+        return (self.target,) + tuple(q for q, _ in self.controls)
 
     def shifted(self, offset: int) -> "GateOp":
         """The same gate on qubits ``offset`` higher."""
-        return GateOp(self.kind, tuple(q + offset for q in self.targets),
+        return GateOp(self.target + offset,
                       tuple((q + offset, v) for q, v in self.controls),
                       self.angle)
 
 
 def gate_x(qubit: int) -> GateOp:
-    return GateOp("X", targets=(qubit,))
+    return GateOp(qubit)
 
 
 def gate_ry(qubit: int, angle: float) -> GateOp:
-    return GateOp("RY", targets=(qubit,), angle=angle)
+    return GateOp(qubit, angle=angle)
 
 
 def gate_cnot(control: int, target: int) -> GateOp:
-    return gate_controlled_x(((control, 1),), target)
+    return GateOp(target, ((control, 1),))
 
 
 def gate_controlled_x(controls: Sequence[Tuple[int, int]], target: int) -> GateOp:
-    return GateOp("CONTROLLED", targets=(target,), controls=tuple(controls))
+    return GateOp(target, tuple(controls))
 
 
 def gate_controlled_ry(controls: Sequence[Tuple[int, int]], target: int,
                        angle: float) -> GateOp:
-    return GateOp("CONTROLLED", targets=(target,), controls=tuple(controls),
-                  angle=angle)
+    return GateOp(target, tuple(controls), angle)
 
 
 def init_basis(n_qubits: int, bits: Sequence[int] | str) -> StateVector:
@@ -127,50 +128,21 @@ def _check_qubit(state: StateVector, qubit: int):
         raise ValueError(f"qubit {qubit} out of range for n={state.n_qubits}")
 
 
-def _flip_axis_inplace(view: np.ndarray, axis: int):
-    moved = np.moveaxis(view, axis, 0)
-    tmp = moved[0].copy()
-    moved[0] = moved[1]
-    moved[1] = tmp
-
-
-def _ry_axis_inplace(view: np.ndarray, axis: int, angle: float):
-    moved = np.moveaxis(view, axis, 0)
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    v0 = moved[0].copy()
-    moved[0] = c * v0 - s * moved[1]
-    moved[1] = s * v0 + c * moved[1]
-
-
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply a gate in place."""
-    theta = gate.angle
     for q in gate.operands():
         _check_qubit(state, q)
-    kind = gate.kind
-    tensor = state.tensor()
-    if kind == "CONTROLLED":
-        # Restrict to the slice where every control bit matches its value.
-        # Indexing descending control axes keeps lower axes in place.
-        view = tensor
-        for cq, cv in sorted(gate.controls, reverse=True):
-            view = np.moveaxis(view, cq, 0)[cv]
-        target = gate.targets[0]
-        target_axis = target - sum(1 for q, _ in gate.controls if q < target)
-        if theta is None:
-            _flip_axis_inplace(view, target_axis)
-        else:
-            if not np.isfinite(theta):
-                raise ValueError("controlled rotation requires a finite angle")
-            _ry_axis_inplace(view, target_axis, theta)
-    elif kind == "X":
-        _flip_axis_inplace(tensor, gate.targets[0])
-    elif kind == "RY":
-        if theta is None or not np.isfinite(theta):
-            raise ValueError("RY requires a finite angle")
-        _ry_axis_inplace(tensor, gate.targets[0], theta)
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
+    # Restrict to the slice where every control bit matches its value.
+    # Indexing descending control axes keeps lower axes in place.
+    view = state.tensor()
+    for cq, cv in sorted(gate.controls, reverse=True):
+        view = np.moveaxis(view, cq, 0)[cv]
+    axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
+    letter = "X" if gate.angle is None else "Y"
+    plan = StringPlan(PauliString.from_map(view.ndim, {axis: letter}),
+                      view.ndim)
+    view[...] = (plan.act(view) if gate.angle is None
+                 else plan.rotate(view, gate.angle))
     return state
 
 

@@ -67,6 +67,46 @@ def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The axis route for preparation gates: swap or mix the two halves of the
+# target axis on the control slice, written out element by element.
+# ``apply_gate`` runs the same gates as StringPlan actions; it must
+# reproduce this route bit for bit on the states preparation programs
+# make, and everywhere but for the sign of a zero.
+# ---------------------------------------------------------------------------
+
+def _flip_axis_inplace(view, axis):
+    moved = np.moveaxis(view, axis, 0)
+    tmp = moved[0].copy()
+    moved[0] = moved[1]
+    moved[1] = tmp
+
+
+def _ry_axis_inplace(view, axis, angle):
+    moved = np.moveaxis(view, axis, 0)
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    v0 = moved[0].copy()
+    moved[0] = c * v0 - s * moved[1]
+    moved[1] = s * v0 + c * moved[1]
+
+
+def axis_gate(state: StateVector, gate: GateOp) -> StateVector:
+    """Apply a gate in place on the axis route."""
+    for q in gate.operands():
+        if not 0 <= q < state.n_qubits:
+            raise ValueError(f"qubit {q} out of range for n={state.n_qubits}")
+    view = state.tensor()
+    for cq, cv in sorted(gate.controls, reverse=True):
+        view = np.moveaxis(view, cq, 0)[cv]
+    target_axis = gate.target - sum(1 for q, _ in gate.controls
+                                    if q < gate.target)
+    if gate.angle is None:
+        _flip_axis_inplace(view, target_axis)
+    else:
+        _ry_axis_inplace(view, target_axis, gate.angle)
+    return state
+
+
+# ---------------------------------------------------------------------------
 # The string route: every Pauli string derived and applied one call at a
 # time, with float64 sign vectors built by a Kronecker loop.  The compiled
 # StringPlan route must reproduce it bit for bit.

@@ -278,6 +278,19 @@ class TestNoisyRun:
         assert a.read_text() == b.read_text()
 
 
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_no_iterations_is_an_error(self, tmp_path, capsys, iterations):
+        record = tmp_path / "noisy.rec"
+        trace = tmp_path / "trace.csv"
+        code = run_cli(["noisy-run", "--hamiltonian", H2,
+                        "--calibration", CAL, "--sector", "2,0", "-k", "2",
+                        "--iterations", iterations, "--out", str(record),
+                        "--trace-out", str(trace)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not record.exists() and not trace.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -150,6 +150,20 @@ class TestCalibration:
         with pytest.raises(CalibrationError, match="^line 2: "):
             parse_calibration(text)
 
+    @pytest.mark.parametrize("records", [
+        ["qubit 1 t1_us=20 t2_us=20 err_1q=0"],
+        ["pair 0,1 err_cnot=0.5 time_ns=300",
+         "pair 0,1 err_cnot=0.01 time_ns=300"],
+        ["pair 0,1 err_cnot=0.5 time_ns=300",
+         "pair 1,0 err_cnot=0.01 time_ns=300"],
+    ], ids=["qubit", "pair", "reversed-pair"])
+    def test_duplicate_record_rejected_with_its_line(self, records):
+        header = ["qubit 0 t1_us=inf t2_us=inf err_1q=0",
+                  "qubit 1 t1_us=10 t2_us=10 err_1q=0.1"]
+        lines = header + records
+        with pytest.raises(CalibrationError, match=f"^line {len(lines)}: "):
+            parse_calibration("\n".join(lines) + "\n")
+
     def test_qubit_wraparound_and_pair_fallback(self, manila):
         assert manila.qubit(5) == manila.qubit(0)
         fallback = manila.pair(0, 3)
@@ -214,8 +228,8 @@ class TestChannels:
             apply_noisy_gate(rho, case, manila)
             operands = sorted(case.operands())
             expected = oracle_noisy_gate(
-                m, gate_unitary(case, n), operands,
-                case.kind == "CONTROLLED" and len(operands) == 2, manila, n)
+                m, gate_unitary(case, n), operands, len(operands) == 2, manila,
+                n)
         else:
             string, angle = case
             apply_noisy_ansatz(rho, one_rotation_circuit(string), [angle],
@@ -373,3 +387,9 @@ class TestSpsa:
         objective = lambda x: float("nan")
         with pytest.raises(FloatingPointError):
             spsa_optimize(objective, np.zeros(2), SpsaConfig(), 10, seed=0)
+
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_no_iterations_rejected(self, iterations):
+        with pytest.raises(ValueError, match="at least one iteration"):
+            spsa_optimize(lambda x: 0.0, np.zeros(2), SpsaConfig(),
+                          iterations, seed=0)

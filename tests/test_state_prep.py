@@ -92,7 +92,7 @@ class TestIsometryNetwork:
 
     def test_single_reference_plain_x(self):
         gates = isometry_network(ReferenceSet(("1100",)), n_ancilla=0)
-        assert all(g.kind == "X" for g in gates)
+        assert all(g.angle is None and not g.controls for g in gates)
         state = run_program(StateVector(4), gates)
         assert np.argmax(np.abs(state.amplitudes)) == 12
 

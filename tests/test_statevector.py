@@ -10,7 +10,7 @@ from qpvqe.statevector import (GateOp, StateVector, apply_gate,
                                gate_ry, gate_x, init_basis, inner_product,
                                run_program)
 
-from oracles import kron_matrix
+from oracles import axis_gate, kron_matrix
 
 
 def random_state(rng, n):
@@ -140,6 +140,85 @@ def _cnot_dense(c, t, n):
             row = col
         out[row, col] = 1.0
     return out
+
+
+def signed_zero_state(rng, n, real=False):
+    """Random amplitudes, about a third of whose components are exact
+    zeros; ``real`` keeps them real with +0.0 zeros, as every preparation
+    program's states are, otherwise the zeros take either sign."""
+    parts = rng.normal(size=(1 if real else 2, 1 << n))
+    zeros = rng.integers(3, size=parts.shape) == 0
+    parts[zeros] = 0.0 if real else np.where(rng.integers(2, size=parts.shape),
+                                             0.0, -0.0)[zeros]
+    return StateVector(n, parts[0] if real else parts[0] + 1j * parts[1])
+
+
+def oracle_gates(n):
+    """X, RY, CNOT, controlled X on value 0 and two-control RY on an
+    n-qubit register, with controls above and below the target."""
+    gates = []
+    for t in range(n):
+        gates += [gate_x(t)] + [gate_ry(t, a) for a in (0.3, -2.1, np.pi, 0.0)]
+        others = [q for q in range(n) if q != t]
+        for c in others:
+            gates += [gate_cnot(c, t), gate_controlled_x(((c, 0),), t),
+                      gate_controlled_ry(((c, 1),), t, 1.1)]
+        for c0, c1 in zip(others, others[1:]):
+            gates.append(gate_controlled_ry(((c0, 0), (c1, 1)), t, -0.7))
+    return gates
+
+
+def bits(state, zero_sign=True):
+    """The amplitude bytes; without ``zero_sign`` -0.0 reads as +0.0."""
+    return (state.amplitudes if zero_sign else state.amplitudes + 0.0).tobytes()
+
+
+class TestGateKernelOracle:
+    """``apply_gate`` (X plan ``act``, Y plan ``rotate``) against the axis
+    route of ``oracles.axis_gate``: the same bits wherever a preparation
+    program can reach, and the same bits but for the sign of zero
+    elsewhere."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_bitwise_on_preparation_states(self, n):
+        # Preparation states are real with +0.0 zeros and every RY angle
+        # lies in [-pi, pi]; there the two routes agree bit for bit.
+        rng = np.random.default_rng(n)
+        for gate in oracle_gates(n) + [g.shifted(n) for g in oracle_gates(n)]:
+            width = 2 * n if max(gate.operands()) >= n else n
+            psi = signed_zero_state(rng, width, real=True)
+            ref = axis_gate(psi.copy(), gate)
+            assert bits(apply_gate(psi, gate)) == bits(ref), gate
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_signed_zero_states(self, n):
+        # An X is a copy in either route, so it keeps every bit.  An RY on
+        # a -0.0 component, or at cos(angle/2) < 0, may give a zero of the
+        # other sign, and nothing else.
+        rng = np.random.default_rng(10 + n)
+        wide = [gate_ry(t, a) for t in range(n) for a in (2 * np.pi, -4.0)]
+        for gate in oracle_gates(n) + wide:
+            psi = signed_zero_state(rng, n)
+            ref = axis_gate(psi.copy(), gate)
+            apply_gate(psi, gate)
+            exact = gate.angle is None
+            assert bits(psi, exact) == bits(ref, exact), gate
+
+    @pytest.mark.parametrize("target, controls, angle", [
+        (0, (), float("nan")),
+        (0, (), float("inf")),
+        (1, ((0, 1),), -float("inf")),
+        (1, ((1, 1),), None),
+        (1, ((0, 1), (1, 0)), 0.3),
+        (0, ((1, 1), (1, 0)), None),
+        (0, ((1, 2),), None),
+        (0, ((1, -1),), 0.3),
+    ], ids=["nan", "inf", "controlled-minus-inf", "target-as-control",
+            "target-among-controls", "repeated-control", "control-value-2",
+            "control-value-minus-1"])
+    def test_bad_gate_rejected_at_construction(self, target, controls, angle):
+        with pytest.raises(ValueError):
+            GateOp(target, controls, angle)
 
 
 class TestPauliExponential:
