@@ -13,10 +13,10 @@ applied to and keeps them in ``AnsatzCircuit.plans``; building a circuit
 compiles nothing.  The compiled routes are bit-identical to applying the
 strings one ``apply_pauli_exponential``/``pauli_action`` call at a time.
 So is the optimizer's one forward pass, shared by ``value_and_gradient``
-and ``screened_energy``: a ``symmetry_screen`` keeps the Z2 symmetries of
-H whose premise the initial state meets, and at each theta the pass runs
-on the sector rows they still pin (``RowPlan``s compiled once per
-on-set), skips the rotations that contribute exactly zero, and takes
+and ``screened_energy``: at each theta a ``symmetry_screen`` gives the
+rows the initial state can reach, one per branch plus the GF(2) span of
+the flips that act (``RowPlan``s compiled once per span); the pass runs
+on them, skips the rotations that contribute exactly zero, and takes
 every vdot over the full register.  ``apply_ansatz`` runs the full
 register for readouts and checks.
 """
@@ -24,13 +24,14 @@ register for readouts and checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fermion import ExcitationGenerator
 from .pauli import (PauliString, PauliSum, RowPlan, SectorRows, StringPlan,
-                    flip_mask, parities, terms_action, z2_symmetries)
+                    flip_mask, gf2_reduce, gf2_span, terms_action)
 from .statevector import StateVector
 
 ROTATION_COEFF_TOL = 1e-12
@@ -156,18 +157,9 @@ def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],
 
 
 @dataclass(frozen=True, eq=False)
-class Symmetry:
-    """One Z2 symmetry S of H and the rotations that anticommute with it."""
-
-    mask: int                # Z mask of S on the register
-    params: np.ndarray       # parameter indices of those rotations
-    flags: np.ndarray        # per rotation: anticommutes with S
-
-
-@dataclass(frozen=True, eq=False)
 class Sector:
-    """The sector rows of one on-set, with the circuit and H compiled on
-    them (``RowPlan``s)."""
+    """The rows of one span, with the circuit and H compiled on them
+    (``RowPlan``s)."""
 
     rows: np.ndarray             # sorted register indices
     circuit: CircuitPlan         # None for each rotation the sweep skips
@@ -176,90 +168,87 @@ class Sector:
 
 
 class SymmetryScreen:
-    """The Z2 symmetries of H (``pauli.z2_symmetries``) that meet the
-    premise of ``symmetry_screen``, the ancilla labels of the branches of
-    the initial state, and the ``Sector``s compiled so far, one per on-set.
+    """The rows ``initial`` can reach at each theta, and the ``Sector``s
+    compiled so far, one per span.
 
-    At theta a symmetry is on when all of its parameters are exactly 0;
-    one that no rotation anticommutes with is always on.  The rows of an
-    on-set are the indices whose label bits (``kept``: bits no term and no
-    rotation flips) match a branch and whose parity under every on
-    symmetry is that branch's.  Every rotation that runs and every term of
-    H commute with the on symmetries and keep the label bits, so they map
-    the rows onto themselves, and the full route holds exact +-0 outside
-    them.  A run needs at most two on-sets: everything on in the first
-    descent, the always-on symmetries after a saddle probe.
+    At theta the flips that act are the X masks of H's terms, the masks of
+    the rotations whose parameter is nonzero (-0.0 is zero) and the
+    premise flips of ``symmetry_screen``; S is their GF(2) span.  The rows
+    are one occupied index per branch label plus S.  Every term and every
+    rotation that runs flips by an element of S, so it maps the rows onto
+    themselves, and the full route holds exact +-0 outside them.  A
+    rotation whose mask is not in S sits at angle 0 and maps the rows
+    outside themselves, so the sweep skips it.  The symmetries of H still
+    on at theta are the Z masks orthogonal to S (Bravyi et al.,
+    arXiv:1701.08213).  A run meets two spans: that of H and the premise
+    in the first descent, whose rotations outside it stay at 0, and that
+    of every mask after a saddle probe.
     """
 
     def __init__(self, circuit: AnsatzCircuit, h: PauliSum, n_qubits: int,
-                 kept: int, symmetries: Tuple[Symmetry, ...],
-                 branches: Dict[int, Tuple[int, ...]]):
+                 flips: Dict[int, int],
+                 by_parameter: Tuple[Tuple[int, ...], ...],
+                 representatives: Tuple[int, ...]):
         self.circuit = circuit
         self.h = h
         self.n_qubits = n_qubits
-        self.kept = kept
-        self.symmetries = symmetries
-        # label bits -> parity of the branch under each symmetry
-        self.branches = branches
-        self._sectors: Dict[Tuple[int, ...], Sector] = {}
-
-    def on(self, theta: np.ndarray) -> Tuple[int, ...]:
-        """Indices of the symmetries that are on at theta."""
-        return tuple(i for i, symmetry in enumerate(self.symmetries)
-                     if not np.any(theta[symmetry.params]))
+        self.flips = flips                   # gf2_span of H and the premise
+        # per parameter, the masks of its rotations
+        self.by_parameter = by_parameter
+        self.representatives = representatives   # one per branch label
+        self._sectors: Dict[bytes, Sector] = {}  # by which theta are nonzero
+        self._spans: Dict[Tuple[int, ...], Sector] = {}
 
     def sector(self, theta: np.ndarray) -> Sector:
-        """The ``Sector`` of theta's on-set, compiled on first use."""
-        on = self.on(theta)
-        sector = self._sectors.get(on)
+        """The ``Sector`` of theta's span, compiled on first use."""
+        active = theta != 0
+        key = active.tobytes()
+        sector = self._sectors.get(key)
         if sector is None:
-            sector = self._sectors[on] = _compile_sector(self, on)
+            span = gf2_span(chain(self.flips.values(), *(
+                self.by_parameter[p] for p in np.flatnonzero(active))))
+            canonical = tuple(sorted(span.values()))
+            sector = self._spans.get(canonical)
+            if sector is None:
+                sector = self._spans[canonical] = _compile_sector(self, span)
+            self._sectors[key] = sector
         return sector
 
 
-def _compile_sector(screen: SymmetryScreen, on: Tuple[int, ...]) -> Sector:
-    """The rows of on-set ``on`` and the circuit and H compiled on them."""
-    n = screen.n_qubits
-    index = np.arange(1 << n)
-    labels = index & screen.kept
-    on_parities = [(i, parities(index, screen.symmetries[i].mask))
-                   for i in on]
-    selected = np.zeros(index.size, dtype=bool)
-    for label, parity in screen.branches.items():
-        match = labels == label
-        for i, values in on_parities:
-            match &= values == parity[i]
-        selected |= match
-    rows = SectorRows(n, np.flatnonzero(selected))
+def _compile_sector(screen: SymmetryScreen, span: Dict[int, int]) -> Sector:
+    """The rows of ``span`` (a ``gf2_span``) and the circuit and H compiled
+    on them."""
+    rows = np.array(screen.representatives, dtype=np.intp)
+    for row in span.values():
+        rows = np.concatenate((rows, rows ^ row))
+    rows = SectorRows(screen.n_qubits, np.sort(rows))
 
     circuit = screen.circuit
-    skip = np.zeros(len(circuit.rotations), dtype=bool)
-    for i in on:
-        skip |= screen.symmetries[i].flags
-    by_string: Dict[PauliString, RowPlan] = {}
-    strings = []
-    for rot, skipped in zip(circuit.rotations, skip.tolist()):
-        if not skipped and rot.string not in by_string:
-            by_string[rot.string] = RowPlan(rot.string, rows)
-        strings.append(None if skipped else by_string[rot.string])
+    by_string: Dict[PauliString, Optional[RowPlan]] = {}
+    for rot in circuit.rotations:
+        if rot.string not in by_string:
+            outside = gf2_reduce(flip_mask(rot.string, screen.n_qubits), span)
+            by_string[rot.string] = (None if outside
+                                     else RowPlan(rot.string, rows))
+    strings = [by_string[rot.string] for rot in circuit.rotations]
     terms = tuple((coeff, RowPlan(string, rows))
                   for string, coeff in screen.h.items())
     return Sector(rows.rows, CircuitPlan.of(circuit.rotations, strings),
-                  terms, np.flatnonzero(~skip)[::-1].tolist())
+                  terms, [r for r in range(len(strings) - 1, -1, -1)
+                          if strings[r] is not None])
 
 
 def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
                     initial: StateVector) -> SymmetryScreen:
-    """The screen of the Z2 symmetries S of H whose premise ``initial``
-    meets; see ``SymmetryScreen`` for the rows.
+    """The screen of the rows ``initial`` can reach; see ``SymmetryScreen``.
 
-    Premise, per S: amplitudes that share the bits no term and no rotation
-    flips (the ancilla label) lie in one S eigenspace.  While S's
-    rotations all sit at theta exactly 0, nothing moves a branch out of
-    it, so each such Im<lambda|P|psi> sums products with an exact-zero
-    factor and adds +-0.0 to a gradient entry that is never -0.0.  An S
-    that a branch straddles is left out; with none left, the rows are the
-    label rows, which no term and no rotation leaves.
+    A branch is the set of nonzero amplitudes that share the bits no term
+    and no rotation flips (the ancilla label).  The premise flips are the
+    XORs of two amplitudes of one branch, so each branch starts inside its
+    representative plus S.  While a rotation's mask is not in S, nothing
+    moves a branch onto its image under the rotation, so its
+    Im<lambda|P|psi> sums products with an exact-zero factor and adds
+    +-0.0 to a gradient entry that is never -0.0.
     """
     n = initial.n_qubits
     if n < circuit.n_working_qubits:
@@ -267,24 +256,15 @@ def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
     h_masks = [flip_mask(string, n) for string, _ in h.items()]
     masks = [flip_mask(rot.string, n) for rot in circuit.rotations]
     kept = ((1 << n) - 1) & ~int(np.bitwise_or.reduce(h_masks + masks))
-    index = np.array([rot.parameter_index for rot in circuit.rotations],
-                     dtype=np.intp)
-    occupied = np.flatnonzero(initial.amplitudes).tolist()
-    branches: Dict[int, List[int]] = {j & kept: [] for j in occupied}
-    symmetries = []
-    for mask in z2_symmetries(h_masks, n):
-        parity = {j & kept: (j & mask).bit_count() & 1 for j in occupied}
-        if any(parity[j & kept] != (j & mask).bit_count() & 1
-               for j in occupied):
-            continue
-        for label, bits in branches.items():
-            bits.append(parity[label])
-        flags = np.array([(m & mask).bit_count() & 1 for m in masks],
-                         dtype=bool)
-        symmetries.append(Symmetry(mask, index[flags], flags))
-    return SymmetryScreen(circuit, h, n, kept, tuple(symmetries),
-                          {label: tuple(bits)
-                           for label, bits in branches.items()})
+    representatives: Dict[int, int] = {}
+    premise = [j ^ representatives.setdefault(j & kept, j)
+               for j in np.flatnonzero(initial.amplitudes).tolist()]
+    by_parameter: List[set] = [set() for _ in range(circuit.parameter_count)]
+    for rot, mask in zip(circuit.rotations, masks):
+        by_parameter[rot.parameter_index].add(mask)
+    return SymmetryScreen(circuit, h, n, gf2_span(h_masks + premise),
+                          tuple(map(tuple, by_parameter)),
+                          tuple(representatives.values()))
 
 
 def _full_length_vdot(rows: np.ndarray, dim: int):
@@ -341,10 +321,11 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     lambda = H|psi> stacked in one (2, M) array, one pass per rotation
     for both.
 
-    The elementwise work runs on the sector rows of theta in ``screen``
+    The elementwise work runs on the rows of theta in ``screen``
     (``symmetry_screen`` of these arguments, built here if None) and skips
-    the rotations an on symmetry flags; every vdot still runs over the
-    full register, so the bits are those of the full-register sweep.
+    the rotations whose mask lies outside their span; every vdot still
+    runs over the full register, so the bits are those of the
+    full-register sweep.
     """
     if screen is None:
         screen = symmetry_screen(circuit, h, initial)

@@ -13,6 +13,7 @@ cheaper only: gradients and backtrack energies share its one forward pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -74,8 +75,15 @@ class QpvqeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.convergence_threshold <= 0:
-            raise ValueError("convergence threshold must be positive")
+        # written so that NaN fails the float checks
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.max_iterations < 1:
+            raise ValueError(
+                f"max iterations must be at least 1, got {self.max_iterations}")
+        if not 0 < self.convergence_threshold < math.inf:
+            raise ValueError("convergence threshold must be positive and "
+                             f"finite, got {self.convergence_threshold}")
 
 
 @dataclass
@@ -194,10 +202,10 @@ def optimize(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
     deterministic in (config, seed); the recorded trace concatenates all
     descents that were evaluated, adopted or not.
     One symmetry screen built here serves every descent: each gradient
-    and backtrack energy runs on its sector rows with the full register's
-    bits.  In the first descent every symmetry is on and the sweep skips
-    all Z2-forbidden rotations; after a saddle probe only the always-on
-    ones remain and it skips none.
+    and backtrack energy runs on the rows the state can reach, with the
+    full register's bits.  In the first descent only rotations inside the
+    span of H's flips ever act, and the sweep skips every other one; after
+    a saddle probe every rotation acts and it skips none.
     """
     initial = prep.prepare()
     screen = symmetry_screen(circuit, h, initial)

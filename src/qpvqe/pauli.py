@@ -15,10 +15,10 @@ A string maps |j> to a phase times |j ^ x>, x its X/Y bit mask.  The
 owning ``PauliSum`` (``plans``) or ansatz circuit, is the only place any
 module reads that action.  Its flip, sign tensor, scalar and mask serve
 P|psi> and exp(-i phi/2 P)|psi>, the matrices of ``to_matrix`` (the ED
-oracle), Tr(P rho) and H's Z2 symmetries (``z2_symmetries``).  Its row
-form, a ``RowPlan`` on ``SectorRows``, runs the same act and rotate on
-the amplitudes of a set of rows that the string maps onto itself (the
-symmetry-sector rows of ``ansatz.SymmetryScreen``).  Plans are
+oracle) and Tr(P rho); the masks' GF(2) span (``gf2_span``) gives the
+rows a state can reach.  Its row form, a ``RowPlan`` on ``SectorRows``,
+runs the same act and rotate on the amplitudes of a set of rows that the
+string maps onto itself (the rows of ``ansatz.SymmetryScreen``).  Plans are
 bit-identical to the uncompiled string route; the comment above
 ``StringPlan`` says why that matters.
 """
@@ -276,9 +276,9 @@ def add_simplify(a: PauliSum, b: PauliSum) -> PauliSum:
 # a module cache keyed by object identity.  A plan runs exactly the
 # elementwise operations of the uncompiled route, in the same order and on
 # the same dtypes, so its results are bit-identical to it (up to the sign
-# of an exact zero).  That contract matters.  Rotations that anticommute
-# with a Z2 symmetry of H have an exactly zero gradient while all of them
-# sit at theta = 0, and the sweep skips them (``ansatz.symmetry_screen``).
+# of an exact zero).  That contract matters.  A rotation at theta = 0
+# whose mask lies outside the span of the flips that act has an exactly
+# zero gradient, and the sweep skips it (``ansatz.symmetry_screen``).
 # Other directions can carry a roundoff-only gradient (the 26 |theta| <=
 # 1e-8 entries of the stored LiH record), which Adam turns into ~1e-10
 # steps: any change of roundoff moves a stored run's theta record.
@@ -440,24 +440,30 @@ class RowPlan(StringPlan):
                 else tensor)
 
 
-def z2_symmetries(masks: Iterable[int], n_qubits: int) -> Tuple[int, ...]:
-    """Z masks spanning {v : parity(v & m) = 0 for every X/Y mask m}.
+def gf2_span(masks: Iterable[int]) -> Dict[int, int]:
+    """The reduced GF(2) basis of the span of ``masks``, keyed by pivot bit.
 
-    The GF(2) null space of the masks, the first step of qubit tapering
-    (Bravyi et al., arXiv:1701.08213): rows reduced by pivot bit, then each
-    free bit f gives f plus the pivots of the rows holding f.
+    Each row's pivot is its highest bit and no other row holds it, so
+    equal spans give equal bases.  The row loop is the first step of qubit
+    tapering (Bravyi et al., arXiv:1701.08213).
     """
     rows: Dict[int, int] = {}
     for m in masks:
-        for pivot, row in rows.items():
-            m ^= row if m >> pivot & 1 else 0
+        m = gf2_reduce(m, rows)
         if m:
             pivot = m.bit_length() - 1
             rows = {p: r ^ m if r >> pivot & 1 else r for p, r in rows.items()}
             rows[pivot] = m
-    return tuple((1 << f) | sum(1 << pivot for pivot, row in rows.items()
-                                if row >> f & 1)
-                 for f in range(n_qubits) if f not in rows)
+    return rows
+
+
+def gf2_reduce(mask: int, span: Mapping[int, int]) -> int:
+    """``mask`` with every pivot bit of ``span`` (a ``gf2_span``) cleared:
+    0 exactly when the mask lies in the span."""
+    for pivot, row in span.items():
+        if mask >> pivot & 1:
+            mask ^= row
+    return mask
 
 
 def pauli_action(string: PauliString, n_qubits: int,

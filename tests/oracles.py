@@ -1,6 +1,7 @@
 """Slow, independent routes that the fast library paths are tested against."""
 
 import math
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -447,3 +448,23 @@ def product_gap_from_full_purified(circuit, theta, refs, h, pair):
               tuple(((j & 1) << 1) | (j >> 1) for j in range(4)))
     state = _equal_branch_state(circuit, theta, refs, labels)
     return scale * expectation(op, state)
+
+
+def z2_symmetries(masks: Iterable[int], n_qubits: int) -> Tuple[int, ...]:
+    """Z masks spanning {v : parity(v & m) = 0 for every X/Y mask m}.
+
+    The GF(2) null space of the masks, the first step of qubit tapering
+    (Bravyi et al., arXiv:1701.08213): rows reduced by pivot bit, then each
+    free bit f gives f plus the pivots of the rows holding f.
+    """
+    rows: Dict[int, int] = {}
+    for m in masks:
+        for pivot, row in rows.items():
+            m ^= row if m >> pivot & 1 else 0
+        if m:
+            pivot = m.bit_length() - 1
+            rows = {p: r ^ m if r >> pivot & 1 else r for p, r in rows.items()}
+            rows[pivot] = m
+    return tuple((1 << f) | sum(1 << pivot for pivot, row in rows.items()
+                                if row >> f & 1)
+                 for f in range(n_qubits) if f not in rows)

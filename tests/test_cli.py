@@ -250,6 +250,22 @@ class TestSweep:
         assert seen == [13, 13, 21, 21]
 
 
+@pytest.mark.parametrize("flag,value,name", [
+    ("--lr", "0", "lr"), ("--lr", "-0.05", "lr"), ("--lr", "nan", "lr"),
+    ("--lr", "inf", "lr"), ("--threshold", "nan", "threshold"),
+    ("--threshold", "inf", "threshold"),
+    ("--max-iterations", "0", "max iterations"),
+    ("--max-iterations", "-2", "max iterations")])
+def test_bad_run_setting_is_an_error(tmp_path, capsys, flag, value, name):
+    record = tmp_path / "run.rec"
+    code = run_cli(["run", "--hamiltonian", H2, "--sector", "2,0", "--no-ed",
+                    flag, value, "--out", str(record)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not record.exists()
+
+
 class TestNoisyRun:
     def test_noisy_run_record_and_trace(self, tmp_path, capsys):
         record = tmp_path / "noisy.rec"
