@@ -8,14 +8,11 @@ occur exactly once) is replaced, and the mutant's tests run there with
 (exit code 1); it survives when they pass.  Any other outcome (a missing
 or repeated anchor, a collection error, no tests selected) is an error.
 
-    python scripts/mutants.py             # every mutant
-    python scripts/mutants.py NAME ...    # the named mutants only
-    python scripts/mutants.py --list
+    python scripts/mutants.py
 
-Exits 0 when every mutant run is killed, 1 otherwise.
+Exits 0 when every mutant is killed, 1 otherwise.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -105,29 +102,15 @@ def run_mutant(mutant: Mutant) -> str:
     return f"error: pytest exit {proc.returncode}: {' '.join(tail)}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (all)")
-    parser.add_argument("--list", action="store_true",
-                        help="print the mutant names and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        for mutant in MUTANTS:
-            print(mutant.name)
-        return 0
-    known = {mutant.name for mutant in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+def main() -> int:
     bad = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         outcome = run_mutant(mutant)
         print(f"{mutant.name}: {outcome} "
               f"({time.perf_counter() - start:.1f} s)", flush=True)
         bad += outcome != "killed"
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 

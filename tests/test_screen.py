@@ -447,12 +447,15 @@ def parity(value):
 
 
 def without_screening(screen):
-    """The screen's circuit, H and branches with every rotation mask among
-    its flips: its rows are the label rows and it skips no rotation."""
+    """The screen's circuit, H and branches with every bit outside the
+    label bits among its flips: its rows are every index that carries a
+    branch's label, and as the span holds every rotation mask it skips no
+    rotation."""
     n = screen.n_qubits
-    masks = [x_mask(rot.string, n) for rot in screen.circuit.rotations]
+    kept = label_bits(screen.h, screen.circuit, n)
     return SymmetryScreen(screen.circuit, screen.h, n,
-                          gf2_span(chain(screen.flips.values(), masks)),
+                          gf2_span(1 << q for q in range(n)
+                                   if not kept >> q & 1),
                           ((),) * screen.circuit.parameter_count,
                           screen.representatives)
 
@@ -466,7 +469,8 @@ class TestDescent:
         real_descent = driver._adam_descent
 
         def spy_vg(circuit, theta, h, initial, screen):
-            calls.append((len(descents), len(screen.sector(theta).order)))
+            sector = screen.sector(theta)
+            calls.append((len(descents), len(sector.order), sector.rows.size))
             return real_vg(circuit, theta, h, initial, screen)
 
         def spy_descent(*args, **kwargs):
@@ -493,15 +497,19 @@ class TestDescent:
                                            screened=True)
         # one screen, built once by optimize, reaches both descents
         assert len(descents) == 2 and descents[0] is descents[1]
-        first = [runs for descent, runs in calls if descent == 1]
-        probe = [runs for descent, runs in calls if descent == 2]
+        first = [(runs, rows) for descent, runs, rows in calls
+                 if descent == 1]
+        probe = [(runs, rows) for descent, runs, rows in calls
+                 if descent == 2]
         assert first and probe
-        assert all(runs < total for runs in first)
-        assert all(runs == total for runs in probe)
+        assert all(runs < total and rows == 8 for runs, rows in first)
+        assert all(runs == total and rows == 16 for runs, rows in probe)
         plain, plain_calls, _ = self.run(monkeypatch, h2_setup,
                                          screened=False)
         assert plain_calls
-        assert all(runs == total for _, runs in plain_calls)
+        # every index of the 6-qubit register carries a branch's label
+        assert all(runs == total and rows == 64
+                   for _, runs, rows in plain_calls)
         assert same_bits(result.theta_star, plain.theta_star)
         assert same_bits(result.ensemble_trace, plain.ensemble_trace)
         assert result.evaluations == plain.evaluations
