@@ -54,6 +54,18 @@ MUTANTS = (
     Mutant("vdot-on-compressed-rows", "src/qpvqe/ansatz.py",
            "return np.vdot(bra, ket)", "return np.vdot(a, b)",
            SCREEN_TESTS),
+    # The Adam step after a backtrack must use the accepted attempt's
+    # gradient; LiH backtracks in 32 of its 203 iterations.
+    Mutant("backtrack-keeps-proposal-gradient", "src/qpvqe/driver.py",
+           """            energy_new, grad_new = value_and_gradient(circuit, theta_new, h,
+                                                      initial, screen)
+""",
+           """            energy_new, grad_try = value_and_gradient(circuit, theta_new, h,
+                                                      initial, screen)
+            grad_new = grad_try if attempt == 0 else grad_new
+""",
+           ("tests/test_acceptance.py", "-k",
+            "stored_benchmark_record")),
     # Pauli algebra.
     Mutant("product-phase-term-swapped", "src/qpvqe/pauli.py",
            "2 * (a.z & b.x).bit_count()", "2 * (a.x & b.z).bit_count()",

@@ -13,7 +13,7 @@ from .pauli import PauliString, PauliSum, expectation, to_matrix
 from .statevector import GateOp, StateVector, init_basis
 from .fermion import (ExcitationGenerator, FermionTerm,
                       enumerate_sz_excitations, jordan_wigner)
-from .ansatz import AnsatzCircuit, apply_ansatz, build_uccgsd, gradient
+from .ansatz import AnsatzCircuit, apply_ansatz, build_uccgsd
 from .state_prep import (PurifiedPrep, ReferenceSet, WeightVector,
                          build_purified_prep, default_weights,
                          prepare_purified, select_reference_determinants)

@@ -12,13 +12,13 @@ circuit compiles its strings on first use for each register size it is
 applied to and keeps them in ``AnsatzCircuit.plans``; building a circuit
 compiles nothing.  The compiled routes are bit-identical to applying the
 strings one ``apply_pauli_exponential``/``pauli_action`` call at a time.
-So is the optimizer's one forward pass, shared by ``value_and_gradient``
-and ``screened_energy``: at each theta a ``symmetry_screen`` gives the
-rows the initial state can reach, one per branch plus the GF(2) span of
-the flips that act (``RowPlan``s compiled once per span); the pass runs
-on them, skips the rotations that contribute exactly zero, and takes
-every vdot over the full register.  ``apply_ansatz`` runs the full
-register for readouts and checks.
+So is the optimizer's one evaluation, ``value_and_gradient``, which
+returns the energy with its gradient from one forward pass: at each theta
+a ``symmetry_screen`` gives the rows the initial state can reach, one per
+branch plus the GF(2) span of the flips that act (``RowPlan``s compiled
+once per span); the pass runs on them, skips the rotations that
+contribute exactly zero, and takes every vdot over the full register.
+``apply_ansatz`` runs the full register for readouts and checks.
 """
 
 from __future__ import annotations
@@ -44,30 +44,6 @@ class Rotation:
     parameter_index: int
 
 
-@dataclass(frozen=True, eq=False)
-class CircuitPlan:
-    """A circuit's rotations compiled for one register size."""
-
-    # one per rotation, shared by string; a Sector's holds RowPlans and
-    # None for each rotation it skips
-    strings: Tuple[Optional[StringPlan], ...]
-    index: np.ndarray                    # parameter index of each rotation
-    coefficient: np.ndarray              # coefficient of each rotation
-
-    @classmethod
-    def of(cls, rotations: Sequence["Rotation"],
-           strings: Sequence[Optional[StringPlan]]) -> "CircuitPlan":
-        return cls(tuple(strings),
-                   np.array([rot.parameter_index for rot in rotations],
-                            dtype=np.intp),
-                   np.array([rot.coefficient for rot in rotations],
-                            dtype=float))
-
-    def angles(self, theta: np.ndarray) -> List[float]:
-        """Rotation angles 2 * theta_k * c in circuit order."""
-        return (2.0 * theta[self.index] * self.coefficient).tolist()
-
-
 @dataclass(frozen=True)
 class AnsatzCircuit:
     """Ordered Pauli rotations on working qubits only."""
@@ -75,9 +51,13 @@ class AnsatzCircuit:
     n_working_qubits: int
     rotations: Tuple[Rotation, ...]
     parameter_count: int
-    # CircuitPlans by register size, built on first use by ``plans``.
-    _plans: Dict[int, CircuitPlan] = field(default_factory=dict, init=False,
-                                           compare=False, repr=False)
+    # Each rotation's parameter index and coefficient, read by ``angles``.
+    index: np.ndarray = field(init=False, compare=False, repr=False)
+    coefficient: np.ndarray = field(init=False, compare=False, repr=False)
+    # One StringPlan per rotation (shared by string) by register size,
+    # built on first use by ``plans``.
+    _plans: Dict[int, Tuple[StringPlan, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for rot in self.rotations:
@@ -85,10 +65,18 @@ class AnsatzCircuit:
                 raise ValueError("rotation parameter index out of range")
             if rot.string.n_qubits != self.n_working_qubits:
                 raise ValueError("rotation string register mismatch")
+        object.__setattr__(self, "index", np.array(
+            [rot.parameter_index for rot in self.rotations], dtype=np.intp))
+        object.__setattr__(self, "coefficient", np.array(
+            [rot.coefficient for rot in self.rotations], dtype=float))
 
-    def plans(self, n_qubits: int) -> CircuitPlan:
+    def angles(self, theta: np.ndarray) -> List[float]:
+        """Rotation angles 2 * theta_k * c in circuit order."""
+        return (2.0 * theta[self.index] * self.coefficient).tolist()
+
+    def plans(self, n_qubits: int) -> Tuple[StringPlan, ...]:
         """The rotations compiled for a ``n_qubits`` register (working
-        qubits first, identity on the rest)."""
+        qubits first, identity on the rest), in circuit order."""
         compiled = self._plans.get(n_qubits)
         if compiled is None:
             if n_qubits < self.n_working_qubits:
@@ -97,9 +85,7 @@ class AnsatzCircuit:
             for rot in self.rotations:
                 if rot.string not in by_string:
                     by_string[rot.string] = StringPlan(rot.string, n_qubits)
-            compiled = CircuitPlan.of(
-                self.rotations,
-                [by_string[rot.string] for rot in self.rotations])
+            compiled = tuple(by_string[rot.string] for rot in self.rotations)
             self._plans[n_qubits] = compiled
         return compiled
 
@@ -150,8 +136,8 @@ def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],
                  state: StateVector) -> StateVector:
     """Apply U(theta) (x) 1 in place; ancilla qubits are never touched."""
     theta = _checked_theta(circuit, theta)
-    compiled = circuit.plans(state.n_qubits)
-    state.amplitudes = _evolve(compiled.strings, compiled.angles(theta),
+    state.amplitudes = _evolve(circuit.plans(state.n_qubits),
+                               circuit.angles(theta),
                                state.tensor()).reshape(-1)
     return state
 
@@ -162,7 +148,8 @@ class Sector:
     (``RowPlan``s)."""
 
     rows: np.ndarray             # sorted register indices
-    circuit: CircuitPlan         # None for each rotation the sweep skips
+    # one per rotation, shared by string; None for each one the sweep skips
+    strings: Tuple[Optional[RowPlan], ...]
     terms: Tuple[Tuple[complex, RowPlan], ...]   # H, in term order
     order: List[int]             # rotations the sweep runs, last first
 
@@ -230,12 +217,12 @@ def _compile_sector(screen: SymmetryScreen, span: Dict[int, int]) -> Sector:
             outside = gf2_reduce(flip_mask(rot.string, screen.n_qubits), span)
             by_string[rot.string] = (None if outside
                                      else RowPlan(rot.string, rows))
-    strings = [by_string[rot.string] for rot in circuit.rotations]
+    strings = tuple(by_string[rot.string] for rot in circuit.rotations)
     terms = tuple((coeff, RowPlan(string, rows))
                   for string, coeff in screen.h.items())
-    return Sector(rows.rows, CircuitPlan.of(circuit.rotations, strings),
-                  terms, [r for r in range(len(strings) - 1, -1, -1)
-                          if strings[r] is not None])
+    return Sector(rows.rows, strings, terms,
+                  [r for r in range(len(strings) - 1, -1, -1)
+                   if strings[r] is not None])
 
 
 def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
@@ -281,34 +268,9 @@ def _full_length_vdot(rows: np.ndarray, dim: int):
     return vdot
 
 
-def _forward(circuit: AnsatzCircuit, theta: Sequence[float],
-             initial: StateVector, screen: SymmetryScreen):
-    """The forward pass on the sector rows of theta in ``screen``: the
-    sector, the rotation angles, psi = U(theta)|initial> and lambda = H|psi>
-    on the rows, the full-length vdot and the energy <psi|H|psi>."""
-    theta = _checked_theta(circuit, theta)
-    sector = screen.sector(theta)
-    angles = sector.circuit.angles(theta)
-    psi = _evolve(sector.circuit.strings, angles,
-                  initial.amplitudes[sector.rows])
-    lam = terms_action(sector.terms, psi)
-    vdot = _full_length_vdot(sector.rows, 1 << initial.n_qubits)
-    return sector, angles, psi, lam, vdot, float(vdot(psi, lam).real)
-
-
-def screened_energy(circuit: AnsatzCircuit, theta: Sequence[float],
-                    h: PauliSum, initial: StateVector,
-                    screen: SymmetryScreen) -> float:
-    """<psi|H|psi> by ``value_and_gradient``'s forward pass, bit for bit
-    the energy it returns; ``screen`` is ``symmetry_screen`` of these
-    arguments."""
-    return _forward(circuit, theta, initial, screen)[-1]
-
-
 def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
                        h: PauliSum, initial: StateVector,
-                       screen: Optional[SymmetryScreen] = None
-                       ) -> Tuple[float, np.ndarray]:
+                       screen: SymmetryScreen) -> Tuple[float, np.ndarray]:
     """Energy and its exact parameter-shift gradient in one double sweep.
 
     Every rotation r contributes the two-sided shift value
@@ -322,38 +284,29 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     for both.
 
     The elementwise work runs on the rows of theta in ``screen``
-    (``symmetry_screen`` of these arguments, built here if None) and skips
-    the rotations whose mask lies outside their span; every vdot still
-    runs over the full register, so the bits are those of the
+    (``symmetry_screen(circuit, h, initial)``, built once per problem) and
+    skips the rotations whose mask lies outside their span; every vdot
+    still runs over the full register, so the bits are those of the
     full-register sweep.
     """
-    if screen is None:
-        screen = symmetry_screen(circuit, h, initial)
-    sector, angles, psi, lam, vdot, energy = _forward(circuit, theta,
-                                                      initial, screen)
-    compiled = sector.circuit
-    strings = compiled.strings
+    theta = _checked_theta(circuit, theta)
+    sector = screen.sector(theta)
+    strings = sector.strings
+    angles = circuit.angles(theta)
+    psi = _evolve(strings, angles, initial.amplitudes[sector.rows])
+    lam = terms_action(sector.terms, psi)
+    vdot = _full_length_vdot(sector.rows, 1 << initial.n_qubits)
+    energy = float(vdot(psi, lam).real)
+    rotations = circuit.rotations
     grad = [0.0] * circuit.parameter_count
-    index = compiled.index.tolist()
-    coefficient = compiled.coefficient.tolist()
     # psi over the raw H|psi>, deliberately unnormalized
     pair = np.stack((psi, lam))
     for r in sector.order:
-        plan, angle = strings[r], angles[r]
+        plan, angle, rot = strings[r], angles[r], rotations[r]
         if angle != 0.0:
             pair = plan.rotate(pair, -angle)
         # d<H>/dphi_r = Im <lambda_r|P_r|psi_r>; undoing rotation r first
         # changes nothing because U_r commutes with its own string.
-        grad[index[r]] += 2.0 * coefficient[r] * float(
+        grad[rot.parameter_index] += 2.0 * rot.coefficient * float(
             vdot(pair[1], plan.act(pair[0])).imag)
     return energy, np.array(grad)
-
-
-def gradient(circuit: AnsatzCircuit, theta: Sequence[float], h: PauliSum,
-             initial: StateVector) -> np.ndarray:
-    """Exact analytic gradient of the expectation objective.
-
-    The parameter-shift values come from ``value_and_gradient``'s single
-    backward sweep; tests check it against literal shifted executions.
-    """
-    return value_and_gradient(circuit, theta, h, initial)[1]

@@ -7,8 +7,11 @@ noiseless path minimizes it with Adam on exact parameter-shift gradients
 under a monotone accept/backtrack rule (see the constants below), so the
 recorded trace never rises by more than the monotone tolerance and the
 1e-9 Ha trailing-window criterion is met honestly rather than by a frozen
-trace.  Each run builds one symmetry screen, which makes evaluations
-cheaper only: gradients and backtrack energies share its one forward pass.
+trace.  An evaluation is one ``value_and_gradient`` call: the proposal and
+every backtrack attempt make one, and the accepted attempt's gradient
+drives the next step, so ``SpectrumResult.evaluations`` counts those
+calls.  Each run builds one symmetry screen, which makes evaluations
+cheaper only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ansatz import (AnsatzCircuit, SymmetryScreen, apply_ansatz,
-                     screened_energy, symmetry_screen, value_and_gradient)
+                     symmetry_screen, value_and_gradient)
 from .pauli import PauliSum, expectation
 from .state_prep import PurifiedPrep, ReferenceSet, WeightVector
 from .statevector import StateVector, init_basis
@@ -97,7 +100,7 @@ class SpectrumResult:
     e_w: Optional[float] = None
     bound: Optional[float] = None
     ed_energies: Optional[np.ndarray] = None
-    evaluations: int = 0
+    evaluations: int = 0                    # value_and_gradient calls
     ordering_violated: bool = False
 
 
@@ -109,6 +112,10 @@ def ensemble_energy(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
 
 
 def _window_spread(trace: List[float], window: int) -> float:
+    """Spread of the trailing ``window`` steps; infinite until there are
+    that many."""
+    if len(trace) <= window:
+        return math.inf
     tail = trace[-(window + 1):]
     return max(tail) - min(tail)
 
@@ -139,46 +146,31 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
         v_hat = v_new / (1 - BETA2 ** iteration)
         direction = m_hat / (np.sqrt(v_hat) + EPS)
 
-        theta_new = theta - lr * direction
-        energy_new, grad_new = value_and_gradient(circuit, theta_new, h,
-                                                  initial, screen)
-        evaluations += 1
-        if not np.isfinite(energy_new):
-            raise FloatingPointError(
-                f"objective diverged at iteration {iteration}")
-        accepted = energy_new <= energy + MONOTONE_TOL
-        if not accepted:
-            for _ in range(MAX_BACKTRACKS):
-                lr *= LR_DECAY_FACTOR
-                theta_new = theta - lr * direction
-                energy_new = screened_energy(circuit, theta_new, h, initial,
-                                             screen)
-                evaluations += 1
-                if energy_new <= energy + MONOTONE_TOL:
-                    accepted = True
-                    break
-            if not accepted:
-                break  # no acceptable step at any rate; stationary point
-            grad_new = None
-
-        theta, energy = theta_new, energy_new
-        m, v = m_new, v_new
-        if grad_new is None:
-            energy, grad_new = value_and_gradient(circuit, theta, h,
-                                                  initial, screen)
+        # The proposal, then up to MAX_BACKTRACKS retries at a decayed rate.
+        for attempt in range(MAX_BACKTRACKS + 1):
+            theta_new = theta - lr * direction
+            energy_new, grad_new = value_and_gradient(circuit, theta_new, h,
+                                                      initial, screen)
             evaluations += 1
-        grad = grad_new
+            if attempt == 0 and not np.isfinite(energy_new):
+                raise FloatingPointError(
+                    f"objective diverged at iteration {iteration}")
+            if energy_new <= energy + MONOTONE_TOL:
+                break
+            lr *= LR_DECAY_FACTOR
+        else:
+            break  # no acceptable step at any rate; stationary point
+
+        theta, energy, grad = theta_new, energy_new, grad_new
+        m, v = m_new, v_new
         trace.append(energy)
         if callback is not None:
             callback(iteration_offset + iteration, energy)
-        if len(trace) > CONVERGENCE_WINDOW:
-            spread = _window_spread(trace, CONVERGENCE_WINDOW)
-            if spread < config.convergence_threshold:
-                converged = True
-                break
-            if spread > 1000.0 * config.convergence_threshold:
-                lr = min(lr * LR_GROWTH, config.lr)
-        else:
+        spread = _window_spread(trace, CONVERGENCE_WINDOW)
+        if spread < config.convergence_threshold:
+            converged = True
+            break
+        if spread > 1000.0 * config.convergence_threshold:
             lr = min(lr * LR_GROWTH, config.lr)
     return theta, trace, converged, evaluations
 
@@ -201,11 +193,11 @@ def optimize(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
     re-descend, adopting strictly better outcomes.  Everything is
     deterministic in (config, seed); the recorded trace concatenates all
     descents that were evaluated, adopted or not.
-    One symmetry screen built here serves every descent: each gradient
-    and backtrack energy runs on the rows the state can reach, with the
-    full register's bits.  In the first descent only rotations inside the
-    span of H's flips ever act, and the sweep skips every other one; after
-    a saddle probe every rotation acts and it skips none.
+    One symmetry screen built here serves every descent: each evaluation
+    runs on the rows the state can reach, with the full register's bits.
+    In the first descent only rotations inside the span of H's flips ever
+    act, and the sweep skips every other one; after a saddle probe every
+    rotation acts and it skips none.
     """
     initial = prep.prepare()
     screen = symmetry_screen(circuit, h, initial)

@@ -66,25 +66,6 @@ def jordan_wigner_sum(terms: Sequence[FermionTerm], n_modes: int) -> PauliSum:
     return out
 
 
-def number_operator(n_modes: int) -> PauliSum:
-    """JW image of N = sum_k a_k^dag a_k = sum_k (1 - Z_k)/2."""
-    terms = {PauliString(n_modes): 0.5 * n_modes}
-    for k in range(n_modes):
-        terms[PauliString.from_map(n_modes, {k: "Z"})] = -0.5
-    return PauliSum(n_modes, terms)
-
-
-def sz_operator(n_modes: int) -> PauliSum:
-    """JW image of S_z = (1/2) sum_p (n_{p,alpha} - n_{p,beta})."""
-    if n_modes % 2:
-        raise ValueError("interleaved register needs an even mode count")
-    terms: Dict[PauliString, complex] = {}
-    for k in range(n_modes):
-        sign = -1.0 if k % 2 == 0 else 1.0  # (1 - Z)/2 with prefactor +-1/2
-        terms[PauliString.from_map(n_modes, {k: "Z"})] = 0.25 * sign
-    return PauliSum(n_modes, terms)
-
-
 @dataclass(frozen=True)
 class ExcitationGenerator:
     """Anti-Hermitian generator G - G^dag of one parameterized excitation.

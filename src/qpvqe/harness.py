@@ -44,7 +44,9 @@ def parse_hamiltonian(text: str) -> PauliSum:
             if n_qubits < 1:
                 raise HamiltonianFormatError(f"line {lineno}: qubits must be >= 1")
             continue
-        coeff_text, _, word = line.partition(" ")
+        # the coefficient, then the word after the first run of whitespace;
+        # a coefficient alone is the identity term
+        coeff_text, word = (line.split(None, 1) + [""])[:2]
         try:
             coeff = float(coeff_text)
         except ValueError:

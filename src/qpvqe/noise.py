@@ -17,10 +17,10 @@ runs twice: on the row qubits and, by the conjugate rule, on the column
 qubits.  The preparation gates (X, RY and their controlled forms) are
 real and run through ``apply_gate`` again on qubits shifted by n.  The
 ansatz runs on its circuit's compiled plans (``AnsatzCircuit.plans``):
-rotation r is ``plans(2n).strings[r]`` on the row qubits, then
-``plans(n).strings[r]``, whose leading Ellipsis addresses the last n axes
-of the 2n-axis tensor, on the column qubits at angle -(-1)^{#Y} phi,
-because conj P = (-1)^{#Y} P.  Either costs O(4^n) and no 2^n x 2^n
+rotation r is ``plans(2n)[r]`` on the row qubits, then ``plans(n)[r]``,
+whose leading Ellipsis addresses the last n axes of the 2n-axis tensor,
+on the column qubits at angle -(-1)^{#Y} phi, because conj P =
+(-1)^{#Y} P.  Either costs O(4^n) and no 2^n x 2^n
 operator is ever built.  Each calibrated channel is a 4x4 (one qubit) or
 16x16 (pair) superoperator applied as one gather -> matmul -> scatter
 over an index plan of its row and column qubits.  Pauli expectations read
@@ -408,17 +408,16 @@ def apply_noisy_ansatz(rho: DensityMatrix, circuit: AnsatzCircuit, theta,
     """U(theta) rotation by rotation, each followed by its operands'
     one-qubit channels; zero angles are skipped.
 
-    Rotation r at angle phi runs ``circuit.plans(2n).strings[r]`` on the
-    row qubits, then ``circuit.plans(n).strings[r]`` on the column qubits
-    at -(-1)^{#Y} phi; that plan's scalar (-i)^{#Y} squares to (-1)^{#Y}.
+    Rotation r at angle phi runs ``circuit.plans(2n)[r]`` on the row
+    qubits, then ``circuit.plans(n)[r]`` on the column qubits at
+    -(-1)^{#Y} phi; that plan's scalar (-i)^{#Y} squares to (-1)^{#Y}.
     """
     n = rho.n_qubits
     narrow = circuit.plans(n)  # raises if the circuit is wider than rho
     wide = circuit.plans(2 * n)
     tensor = rho.vec.tensor()
-    for rot, row, column, angle in zip(circuit.rotations, wide.strings,
-                                       narrow.strings,
-                                       narrow.angles(parameter_vector(theta))):
+    for rot, row, column, angle in zip(circuit.rotations, wide, narrow,
+                                       circuit.angles(parameter_vector(theta))):
         if angle == 0.0:
             continue
         tensor = row.rotate(tensor, angle)

@@ -5,8 +5,8 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from qpvqe.ansatz import _evolve, apply_ansatz, parameter_vector
-from qpvqe.fermion import number_operator, sz_operator
+from qpvqe.ansatz import (_evolve, apply_ansatz, parameter_vector,
+                          symmetry_screen, value_and_gradient)
 from qpvqe.noise import (channel_superoperator, depolarizing_kraus,
                          thermal_relaxation_kraus)
 from qpvqe.observables import _equal_branch_state, ancilla_projector
@@ -211,23 +211,27 @@ def full_register_value_and_gradient(circuit, theta, h, initial):
     library's sweep on the sector rows must reproduce it bit for bit."""
     theta = parameter_vector(theta)
     n = initial.n_qubits
-    compiled = circuit.plans(n)
-    strings = compiled.strings
-    angles = compiled.angles(theta)
+    strings = circuit.plans(n)
+    angles = circuit.angles(theta)
     psi = _evolve(strings, angles, initial.tensor())
     lam = paulisum_action(h, n, psi.reshape(-1)).reshape(psi.shape)
     energy = float(np.vdot(psi, lam).real)
     grad = [0.0] * circuit.parameter_count
-    index = compiled.index.tolist()
-    coefficient = compiled.coefficient.tolist()
     pair = np.stack((psi, lam))
     for r in range(len(angles) - 1, -1, -1):
-        plan, angle = strings[r], angles[r]
+        plan, angle, rot = strings[r], angles[r], circuit.rotations[r]
         if angle != 0.0:
             pair = plan.rotate(pair, -angle)
-        grad[index[r]] += 2.0 * coefficient[r] * float(
+        grad[rot.parameter_index] += 2.0 * rot.coefficient * float(
             np.vdot(pair[1], plan.act(pair[0])).imag)
     return energy, np.array(grad)
+
+
+def gradient(circuit, theta, h, initial):
+    """``value_and_gradient``'s gradient, with a screen built for this one
+    call."""
+    screen = symmetry_screen(circuit, h, initial)
+    return value_and_gradient(circuit, theta, h, initial, screen)[1]
 
 
 def shifted_gradient(circuit, theta, h, initial):
@@ -382,6 +386,25 @@ def ed_residuals(h, ref):
         out.append(np.linalg.norm(paulisum_action(h, h.n_qubits, v)
                                   - ref.energies[j] * v))
     return np.array(out)
+
+
+def number_operator(n_modes):
+    """JW image of N = sum_k a_k^dag a_k = sum_k (1 - Z_k)/2."""
+    terms = {PauliString(n_modes): 0.5 * n_modes}
+    for k in range(n_modes):
+        terms[PauliString.from_map(n_modes, {k: "Z"})] = -0.5
+    return PauliSum(n_modes, terms)
+
+
+def sz_operator(n_modes):
+    """JW image of S_z = (1/2) sum_p (n_{p,alpha} - n_{p,beta})."""
+    if n_modes % 2:
+        raise ValueError("interleaved register needs an even mode count")
+    terms = {}
+    for k in range(n_modes):
+        sign = -1.0 if k % 2 == 0 else 1.0  # (1 - Z)/2 with prefactor +-1/2
+        terms[PauliString.from_map(n_modes, {k: "Z"})] = 0.25 * sign
+    return PauliSum(n_modes, terms)
 
 
 def symmetry_expectations(state, n_modes):

@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from qpvqe.ansatz import build_uccgsd, gradient
+from qpvqe.ansatz import build_uccgsd
 from qpvqe.driver import SpsaConfig, ensemble_energy, error_bound
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import bit_list, parse_record, record_get, sector_indices
@@ -31,7 +31,7 @@ from qpvqe.statevector import init_basis
 
 from conftest import Problem, data_path
 from oracles import (ensemble_energy_by_states, expectation_objective,
-                     symmetry_expectations)
+                     gradient, symmetry_expectations)
 
 CHEMICAL_ACCURACY_HA = 1.6e-3
 H4_TOLERANCE_HA = 5e-3

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qpvqe.ansatz import (AnsatzCircuit, Rotation, apply_ansatz, build_uccgsd,
-                          gradient, value_and_gradient)
-from qpvqe.fermion import enumerate_sz_excitations, number_operator, sz_operator
+                          symmetry_screen, value_and_gradient)
+from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import load_hamiltonian
 from qpvqe.pauli import PauliString, PauliSum, expectation, to_matrix
 from qpvqe.state_prep import (ReferenceSet, build_purified_prep,
@@ -13,7 +13,8 @@ from qpvqe.state_prep import (ReferenceSet, build_purified_prep,
 from qpvqe.statevector import StateVector, init_basis
 
 from oracles import (apply_ansatz_inverse, circuit_unitary,
-                     expectation_objective, shifted_gradient)
+                     expectation_objective, gradient, number_operator,
+                     shifted_gradient, sz_operator)
 
 H2_HAM = "data/hamiltonians/h2_0.70.ham"
 
@@ -164,7 +165,8 @@ class TestGradient:
         h = random_hermitian_sum(rng, 4)
         init = init_basis(4, "1100")
         theta = rng.uniform(-0.5, 0.5, m2_circuit.parameter_count)
-        energy, _ = value_and_gradient(m2_circuit, theta, h, init)
+        energy, _ = value_and_gradient(m2_circuit, theta, h, init,
+                                       symmetry_screen(m2_circuit, h, init))
         assert energy == pytest.approx(
             expectation_objective(m2_circuit, h, init)(theta), abs=1e-13)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qpvqe import driver
 from qpvqe.ansatz import build_uccgsd
 from qpvqe.driver import (QpvqeConfig, attach_certificate, ensemble_energy,
                           error_bound, extract_eigenpairs, optimize)
@@ -11,7 +12,7 @@ from qpvqe.state_prep import (ReferenceSet, WeightVector, build_purified_prep,
                               default_weights)
 from qpvqe.statevector import inner_product
 
-from oracles import (ensemble_energy_by_states, kron_matrix,
+from oracles import (ensemble_energy_by_states, gradient, kron_matrix,
                      symmetry_expectations)
 
 CHEMICAL_ACCURACY_HA = 1.6e-3
@@ -80,8 +81,25 @@ class TestOptimize:
         assert a.ensemble_trace == b.ensemble_trace
         assert np.array_equal(a.energies, b.energies)
 
+    def test_one_value_and_gradient_call_per_evaluation(self, monkeypatch,
+                                                        h2_problem):
+        # The proposal and every backtrack attempt are one call each, and
+        # nothing re-evaluates the accepted theta.
+        p = h2_problem
+        calls = []
+        real = driver.value_and_gradient
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(driver, "value_and_gradient", spy)
+        result = optimize(p.h, p.circuit, p.prep, p.config)
+        assert len(calls) == result.evaluations
+        # the run backtracks, so the count covers backtrack attempts
+        assert result.evaluations > result.iterations_used + 1
+
     def test_gradient_small_at_optimum(self, h2_problem, h2_result):
-        from qpvqe.ansatz import gradient
         p = h2_problem
         grad = gradient(p.circuit, h2_result.theta_star, p.h, p.prep.prepare())
         assert np.max(np.abs(grad)) <= 1e-4

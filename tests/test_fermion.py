@@ -5,10 +5,11 @@ import pytest
 
 from qpvqe.fermion import (ExcitationGenerator, FermionTerm,
                            enumerate_sz_excitations, jordan_wigner,
-                           jordan_wigner_sum, number_operator,
-                           parse_excitation_label, spin_of, spin_orbital,
-                           sz_operator)
+                           jordan_wigner_sum, parse_excitation_label,
+                           spin_of, spin_orbital)
 from qpvqe.pauli import PauliString, PauliSum, to_matrix
+
+from oracles import number_operator, sz_operator
 
 
 def dense(term, n):

@@ -10,7 +10,8 @@ from qpvqe.harness import (EDReference, HamiltonianFormatError,
 from qpvqe.pauli import PauliString, PauliSum, paulisum_action, to_matrix
 
 from conftest import data_path
-from oracles import ed_residuals, kron_matrix
+from oracles import (ed_residuals, kron_matrix, number_operator,
+                     sz_operator)
 
 
 class TestParseHamiltonian:
@@ -43,6 +44,12 @@ class TestParseHamiltonian:
     def test_comments_and_blanks(self):
         h = parse_hamiltonian("# c\n\nqubits 1\n0.5 Z0  # inline\n")
         assert len(h) == 1
+        # a tab or a run of blanks after the coefficient, and a bare
+        # coefficient as the identity
+        h = parse_hamiltonian("qubits\t2\n0.5\tZ0\n0.25 \t X0  Z1\n-1\n")
+        assert h.terms() == {PauliString.from_word(2, "Z0"): 0.5,
+                             PauliString.from_word(2, "X0 Z1"): 0.25,
+                             PauliString(2): -1.0}
 
     def test_roundtrip_identity(self):
         h = load_hamiltonian(data_path("hamiltonians", "h2_0.70.ham"))
@@ -101,7 +108,6 @@ class TestExactDiagonalize:
                          PauliString.from_word(2, "Y0 Y1"): 1.0})
         full = exact_diagonalize(h)
         # the one-particle block {|01>, |10>} carries the +-2 eigenvalues
-        from qpvqe.fermion import number_operator
         n_mat = to_matrix(number_operator(2))
         single_particle = sorted(
             full.energies[j] for j in range(4)
@@ -119,7 +125,6 @@ class TestExactDiagonalize:
         assert np.max(np.abs(g - np.eye(4))) < 1e-12
 
     def test_sector_consistency_of_eigenvectors(self):
-        from qpvqe.fermion import number_operator, sz_operator
         h = load_hamiltonian(data_path("hamiltonians", "h2_0.70.ham"))
         ref = exact_diagonalize(h, sector=(2, 0.0), k=4)
         n_mat = to_matrix(number_operator(4))

@@ -16,7 +16,7 @@ from oracles import (kron_sign_vector, string_apply_ansatz, string_expectation,
                      string_pauli_action, string_pauli_exponential,
                      string_paulisum_action, string_value_and_gradient)
 from qpvqe.ansatz import (AnsatzCircuit, Rotation, apply_ansatz, build_uccgsd,
-                          value_and_gradient)
+                          symmetry_screen, value_and_gradient)
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import exact_diagonalize, load_hamiltonian
 from qpvqe.pauli import (DENSE_BYTES_GUARD, SIGN_CACHE_SIZE, PauliString,
@@ -179,7 +179,8 @@ class TestCircuitPlans:
         for _ in range(5):
             theta = theta_with_zeros(rng, m2_circuit.parameter_count)
             initial = init_basis(4, "1100")
-            ours = value_and_gradient(m2_circuit, theta, h, initial)
+            ours = value_and_gradient(m2_circuit, theta, h, initial,
+                                      symmetry_screen(m2_circuit, h, initial))
             theirs = string_value_and_gradient(m2_circuit, theta, h, initial)
             assert same_bits(ours[0], theirs[0])
             assert same_bits(ours[1], theirs[1])
@@ -192,7 +193,8 @@ class TestCircuitPlans:
             theta = theta_with_zeros(rng, m2_circuit.parameter_count)
             h = random_hermitian_sum(rng, 4)
             initial = random_state(rng, 4 + extra)
-            ours = value_and_gradient(m2_circuit, theta, h, initial)
+            ours = value_and_gradient(m2_circuit, theta, h, initial,
+                                      symmetry_screen(m2_circuit, h, initial))
             theirs = string_value_and_gradient(m2_circuit, theta, h, initial)
             assert same_bits(ours[0], theirs[0])
             assert same_bits(ours[1], theirs[1])
@@ -210,7 +212,8 @@ class TestCircuitPlans:
         h = random_hermitian_sum(rng, 11, terms=8)
         initial = random_state(rng, 13)
         theta = theta_with_zeros(rng, 7)
-        ours = value_and_gradient(circuit, theta, h, initial)
+        ours = value_and_gradient(circuit, theta, h, initial,
+                                  symmetry_screen(circuit, h, initial))
         theirs = string_value_and_gradient(circuit, theta, h, initial)
         assert same_bits(ours[0], theirs[0])
         assert same_bits(ours[1], theirs[1])
@@ -219,7 +222,8 @@ class TestCircuitPlans:
         h = load_hamiltonian(H2_HAMS[0])
         initial = init_basis(4, "1010")
         theta = np.zeros(m2_circuit.parameter_count)
-        ours = value_and_gradient(m2_circuit, theta, h, initial)
+        ours = value_and_gradient(m2_circuit, theta, h, initial,
+                                  symmetry_screen(m2_circuit, h, initial))
         theirs = string_value_and_gradient(m2_circuit, theta, h, initial)
         assert same_bits(ours[1], theirs[1])
         assert same_bits(initial.amplitudes, init_basis(4, "1010").amplitudes)
@@ -256,7 +260,8 @@ class TestSweepStyle:
             h = load_hamiltonian(H2_HAMS[step % 2])
             assert circuit._plans == {} and h._plans == {}
             theta = theta_with_zeros(rng, circuit.parameter_count)
-            ours = value_and_gradient(circuit, theta, h, initial)
+            ours = value_and_gradient(circuit, theta, h, initial,
+                                      symmetry_screen(circuit, h, initial))
             theirs = string_value_and_gradient(circuit, theta, h, initial)
             assert same_bits(ours[0], theirs[0])
             assert same_bits(ours[1], theirs[1])
