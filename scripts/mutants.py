@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 
 SCREEN_TESTS = ("tests/test_screen.py",)
+ROW_TESTS = ("tests/test_rows.py",)
 
 MUTANTS = (
     # The symmetry screen (ansatz.symmetry_screen, SymmetryScreen.sector,
@@ -50,6 +51,13 @@ MUTANTS = (
            "for row in list(span.values())[1:]:", SCREEN_TESTS),
     Mutant("screen-positive-theta-active", "src/qpvqe/ansatz.py",
            "active = theta != 0", "active = theta > 0", SCREEN_TESTS),
+    # apply_ansatz on the reachable rows (_batch_sector, _evolve_batch).
+    Mutant("batch-span-premise-dropped", "src/qpvqe/ansatz.py",
+           "gf2_span(chain(premise, active))", "gf2_span(active)",
+           ROW_TESTS),
+    Mutant("batch-scatter-other-state", "src/qpvqe/ansatz.py",
+           "amplitudes[sector.rows] = psi[b]",
+           "amplitudes[sector.rows] = psi[b - 1]", ROW_TESTS),
     # Full-length reductions: BLAS sums a vdot by index position.
     Mutant("vdot-on-compressed-rows", "src/qpvqe/ansatz.py",
            "return np.vdot(bra, ket)", "return np.vdot(a, b)",

@@ -18,14 +18,16 @@ a ``symmetry_screen`` gives the rows the initial state can reach, one per
 branch plus the GF(2) span of the flips that act (``RowPlan``s compiled
 once per span); the pass runs on them, skips the rotations that
 contribute exactly zero, and takes every vdot over the full register.
-``apply_ansatz`` runs the full register for readouts and checks.
+``apply_ansatz`` runs on the same row machinery with no H: the states of
+one register, stacked on the rows they can reach, evolve in one pass and
+are scattered back into 2^n buffers for the full-register readouts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .pauli import (PauliString, PauliSum, RowPlan, SectorRows, StringPlan,
 from .statevector import StateVector
 
 ROTATION_COEFF_TOL = 1e-12
+# Sectors ``apply_ansatz`` keeps per circuit; a LiH command needs one per
+# register (the pair states, the K-way state and the eigenpairs).
+SECTOR_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -51,13 +56,19 @@ class AnsatzCircuit:
     n_working_qubits: int
     rotations: Tuple[Rotation, ...]
     parameter_count: int
-    # Each rotation's parameter index and coefficient, read by ``angles``.
+    # Each rotation's parameter index and coefficient, read by ``angles``,
+    # and its X mask on the working register.
     index: np.ndarray = field(init=False, compare=False, repr=False)
     coefficient: np.ndarray = field(init=False, compare=False, repr=False)
+    mask: np.ndarray = field(init=False, compare=False, repr=False)
     # One StringPlan per rotation (shared by string) by register size,
     # built on first use by ``plans``.
     _plans: Dict[int, Tuple[StringPlan, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    # The Sectors of ``apply_ansatz`` by (register, span, representatives),
+    # at most SECTOR_CACHE_SIZE; the oldest is dropped first.
+    _sectors: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], "Sector"] = \
+        field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for rot in self.rotations:
@@ -69,6 +80,8 @@ class AnsatzCircuit:
             [rot.parameter_index for rot in self.rotations], dtype=np.intp))
         object.__setattr__(self, "coefficient", np.array(
             [rot.coefficient for rot in self.rotations], dtype=float))
+        object.__setattr__(self, "mask", np.array(
+            [rot.string.x for rot in self.rotations], dtype=np.int64))
 
     def angles(self, theta: np.ndarray) -> List[float]:
         """Rotation angles 2 * theta_k * c in circuit order."""
@@ -123,8 +136,8 @@ def _checked_theta(circuit: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray
     return theta
 
 
-def _evolve(strings: Sequence[StringPlan], angles: Sequence[float],
-            tensor: np.ndarray) -> np.ndarray:
+def _evolve(strings: Sequence[Optional[StringPlan]],
+            angles: Sequence[float], tensor: np.ndarray) -> np.ndarray:
     """Rotations in order on a fresh array; zero angles are skipped."""
     for plan, angle in zip(strings, angles):
         if angle != 0.0:
@@ -133,13 +146,67 @@ def _evolve(strings: Sequence[StringPlan], angles: Sequence[float],
 
 
 def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],
-                 state: StateVector) -> StateVector:
-    """Apply U(theta) (x) 1 in place; ancilla qubits are never touched."""
+                 states: Union[StateVector, Sequence[StateVector]]):
+    """Apply U(theta) (x) 1 in place to one state or to each of a sequence
+    of states, and return ``states``; ancilla qubits are never touched.
+
+    The states of each register size evolve together in one
+    ``_evolve_batch`` pass on the rows they can reach.
+    """
     theta = _checked_theta(circuit, theta)
-    state.amplitudes = _evolve(circuit.plans(state.n_qubits),
-                               circuit.angles(theta),
-                               state.tensor()).reshape(-1)
-    return state
+    angles = circuit.angles(theta)
+    by_register: Dict[int, List[StateVector]] = {}
+    for state in [states] if isinstance(states, StateVector) else states:
+        by_register.setdefault(state.n_qubits, []).append(state)
+    for batch in by_register.values():
+        _evolve_batch(circuit, angles, batch)
+    return states
+
+
+def _evolve_batch(circuit: AnsatzCircuit, angles: Sequence[float],
+                  states: Sequence[StateVector]) -> None:
+    """U on states of one register, stacked as a (B, M) array on the rows
+    of ``_batch_sector``; each is scattered back into a zero 2^n buffer.
+    Every row holds the full register's bits; the rest hold +0."""
+    sector = _batch_sector(circuit, angles, states)
+    psi = _evolve(sector.strings, angles,
+                  np.stack([state.amplitudes[sector.rows] for state in states]))
+    for b, state in enumerate(states):
+        amplitudes = np.zeros(1 << state.n_qubits, dtype=complex)
+        amplitudes[sector.rows] = psi[b]
+        state.amplitudes = amplitudes
+
+
+def _batch_sector(circuit: AnsatzCircuit, angles: Sequence[float],
+                  states: Sequence[StateVector]) -> "Sector":
+    """The ``Sector`` of the rows the states can reach under U, with no H:
+    one representative per branch of their joint support plus the GF(2)
+    span of the premise flips and the masks of the rotations that act.
+    Kept on the circuit by (register, span, representatives)."""
+    n = states[0].n_qubits
+    if n < circuit.n_working_qubits:
+        raise ValueError("state register smaller than the ansatz")
+    masks = circuit.mask << (n - circuit.n_working_qubits)
+    occupied = states[0].amplitudes != 0
+    for state in states[1:]:
+        occupied |= state.amplitudes != 0
+    kept = ((1 << n) - 1) & ~int(np.bitwise_or.reduce(masks, initial=0))
+    representatives, premise = _branches(np.flatnonzero(occupied), kept)
+    active = {mask for mask, angle in zip(masks.tolist(), angles)
+              if angle != 0.0}
+    span = gf2_span(chain(premise, active))
+    key = (n, tuple(sorted(span.values())), representatives)
+    sector = circuit._sectors.get(key)
+    if sector is None:
+        # a screen with no H whose span no parameter widens
+        screen = SymmetryScreen(circuit, None, n, span,
+                                ((),) * circuit.parameter_count,
+                                representatives)
+        sector = _compile_sector(screen, span)
+        if len(circuit._sectors) >= SECTOR_CACHE_SIZE:
+            del circuit._sectors[next(iter(circuit._sectors))]
+        circuit._sectors[key] = sector
+    return sector
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +239,13 @@ class SymmetryScreen:
     of every mask after a saddle probe.
     """
 
-    def __init__(self, circuit: AnsatzCircuit, h: PauliSum, n_qubits: int,
+    def __init__(self, circuit: AnsatzCircuit, h: Optional[PauliSum],
+                 n_qubits: int,
                  flips: Dict[int, int],
                  by_parameter: Tuple[Tuple[int, ...], ...],
                  representatives: Tuple[int, ...]):
         self.circuit = circuit
-        self.h = h
+        self.h = h                           # None: no terms are compiled
         self.n_qubits = n_qubits
         self.flips = flips                   # gf2_span of H and the premise
         # per parameter, the masks of its rotations
@@ -218,8 +286,8 @@ def _compile_sector(screen: SymmetryScreen, span: Dict[int, int]) -> Sector:
             by_string[rot.string] = (None if outside
                                      else RowPlan(rot.string, rows))
     strings = tuple(by_string[rot.string] for rot in circuit.rotations)
-    terms = tuple((coeff, RowPlan(string, rows))
-                  for string, coeff in screen.h.items())
+    terms = () if screen.h is None else tuple(
+        (coeff, RowPlan(string, rows)) for string, coeff in screen.h.items())
     return Sector(rows.rows, strings, terms,
                   [r for r in range(len(strings) - 1, -1, -1)
                    if strings[r] is not None])
@@ -243,15 +311,24 @@ def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
     h_masks = [flip_mask(string, n) for string, _ in h.items()]
     masks = [flip_mask(rot.string, n) for rot in circuit.rotations]
     kept = ((1 << n) - 1) & ~int(np.bitwise_or.reduce(h_masks + masks))
-    representatives: Dict[int, int] = {}
-    premise = [j ^ representatives.setdefault(j & kept, j)
-               for j in np.flatnonzero(initial.amplitudes).tolist()]
+    representatives, premise = _branches(np.flatnonzero(initial.amplitudes),
+                                         kept)
     by_parameter: List[set] = [set() for _ in range(circuit.parameter_count)]
     for rot, mask in zip(circuit.rotations, masks):
         by_parameter[rot.parameter_index].add(mask)
     return SymmetryScreen(circuit, h, n, gf2_span(h_masks + premise),
-                          tuple(map(tuple, by_parameter)),
-                          tuple(representatives.values()))
+                          tuple(map(tuple, by_parameter)), representatives)
+
+
+def _branches(occupied: np.ndarray, kept: int
+              ) -> Tuple[Tuple[int, ...], List[int]]:
+    """One representative per branch, the first of the ``occupied``
+    indices that share its bits under ``kept`` (the label), and the
+    premise flips: each index XOR its branch's representative."""
+    representatives: Dict[int, int] = {}
+    premise = [j ^ representatives.setdefault(j & kept, j)
+               for j in occupied.tolist()]
+    return tuple(representatives.values()), premise
 
 
 def _full_length_vdot(rows: np.ndarray, dim: int):
@@ -287,8 +364,11 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     (``symmetry_screen(circuit, h, initial)``, built once per problem) and
     skips the rotations whose mask lies outside their span; every vdot
     still runs over the full register, so the bits are those of the
-    full-register sweep.
+    full-register sweep.  ``h`` must be the screen's own Hamiltonian,
+    whose terms the rows hold.
     """
+    if h is not screen.h:
+        raise ValueError("the screen was built for another Hamiltonian")
     theta = _checked_theta(circuit, theta)
     sector = screen.sector(theta)
     strings = sector.strings

@@ -28,7 +28,8 @@ from .harness import (exact_diagonalize, format_float,
 from .noise import (DEFAULT_SHOTS, ShotSampler, load_calibration,
                     noisy_ensemble_energy, spsa_optimize,
                     totally_mixed_energy)
-from .observables import (energy_gap, gap_from_full_purified, prepare_pair,
+from .observables import (energy_gap, full_purified_state,
+                          gap_from_full_purified, prepare_pair,
                           supported_projector_pairs, transition_amplitude)
 from .pauli import PauliSum
 from .state_prep import (ReferenceSet, WeightVector, build_purified_prep,
@@ -223,14 +224,18 @@ def cmd_ed(args) -> int:
 
 def cmd_gaps(args) -> int:
     h, circuit, refs, theta, pairs = _load_readout(args)
-    projector_pairs = supported_projector_pairs(refs.k)
+    projector_pairs = (supported_projector_pairs(refs.k) & set(pairs)
+                       if args.projector else set())
     print("i,j,gap_ha")
-    for i, j in pairs:
-        pair = prepare_pair(circuit, theta, refs, i, j)
-        gap = energy_gap(pair, h)
-        print(f"{i},{j},{gap:.12g}")
-        if args.projector and (i, j) in projector_pairs:
-            gap_p = gap_from_full_purified(circuit, theta, refs, h, (i, j))
+    pair_states = prepare_pair(circuit, theta, refs, pairs)
+    purified = (full_purified_state(circuit, theta, refs)
+                if projector_pairs else None)
+    for pair in pair_states:
+        i, j = pair.i, pair.j
+        print(f"{i},{j},{energy_gap(pair, h):.12g}")
+        if (i, j) in projector_pairs:
+            gap_p = gap_from_full_purified(circuit, theta, refs, h, (i, j),
+                                           purified)
             print(f"{i},{j},{gap_p:.12g} # projector")
     return 0
 
@@ -242,10 +247,9 @@ def cmd_amplitudes(args) -> int:
         raise ValueError(f"{args.observable} acts on {obs.n_qubits} qubits "
                          f"but {args.result} was run on {h.n_qubits}")
     print("i,j,re,im")
-    for i, j in pairs:
-        pair = prepare_pair(circuit, theta, refs, i, j)
+    for pair in prepare_pair(circuit, theta, refs, pairs):
         amp = transition_amplitude(pair, obs)
-        print(f"{i},{j},{amp.real:.12g},{amp.imag:.12g}")
+        print(f"{pair.i},{pair.j},{amp.real:.12g},{amp.imag:.12g}")
     return 0
 
 

@@ -107,7 +107,9 @@ class SpectrumResult:
 def ensemble_energy(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
                     theta: Sequence[float]) -> float:
     """<Phi(w)| [U^dag H U] (x) 1 |Phi(w)> via one expectation on the full
-    register, independent of the optimizer's screened forward pass."""
+    register, independent of the optimizer's screened forward pass: U runs
+    on the rows the state reaches with no H, and the expectation on the
+    whole register."""
     return expectation(h, apply_ansatz(circuit, theta, prep.prepare()))
 
 
@@ -232,19 +234,15 @@ def optimize(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
 def extract_eigenpairs(circuit: AnsatzCircuit, theta_star: Sequence[float],
                        refs: ReferenceSet, h: PauliSum
                        ) -> Tuple[np.ndarray, List[StateVector]]:
-    """K working-register evolutions U(theta*)|D_j> and their energies.
+    """K working-register evolutions U(theta*)|D_j>, in one
+    ``apply_ansatz`` call, and their energies.
 
     Energies are reported in weight order without silent re-sorting; a
     converged run is weakly ascending because the weights force it.
     """
-    energies = []
-    states = []
-    for det in refs.determinants:
-        state = init_basis(len(det), det)
-        apply_ansatz(circuit, theta_star, state)
-        states.append(state)
-        energies.append(expectation(h, state))
-    return np.array(energies), states
+    states = apply_ansatz(circuit, theta_star, [
+        init_basis(len(det), det) for det in refs.determinants])
+    return np.array([expectation(h, state) for state in states]), states
 
 
 def error_bound(energies: Sequence[float], weights: WeightVector,

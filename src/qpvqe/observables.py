@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .ansatz import AnsatzCircuit, apply_ansatz
 from .pauli import PauliString, PauliSum, product_expectation
@@ -49,14 +49,18 @@ def ancilla_projector(n_total: int, qubit: int, sign: int) -> PauliSum:
 
 
 def prepare_pair(circuit: AnsatzCircuit, theta_star: Sequence[float],
-                 refs: ReferenceSet, i: int, j: int) -> PairState:
-    """(U|D_i>|0> + U|D_j>|1>)/sqrt(2): the equal-branch state of the two
-    references, labelled 0 and 1."""
-    if i == j:
+                 refs: ReferenceSet, pairs: Sequence[Tuple[int, int]]
+                 ) -> List[PairState]:
+    """(U|D_i>|0> + U|D_j>|1>)/sqrt(2) for each (i, j) of ``pairs``: the
+    equal-branch state of the two references, labelled 0 and 1.  All of
+    them evolve in one ``apply_ansatz`` call."""
+    if any(i == j for i, j in pairs):
         raise ValueError("pair needs two distinct reference indices")
-    pair_refs = ReferenceSet((refs.determinants[i], refs.determinants[j]))
-    return PairState(_equal_branch_state(circuit, theta_star, pair_refs,
-                                         (0, 1)), refs.n_qubits, i, j)
+    states = apply_ansatz(circuit, theta_star, [_prepared_branches(
+        ReferenceSet((refs.determinants[i], refs.determinants[j])), (0, 1))
+        for i, j in pairs])
+    return [PairState(state, refs.n_qubits, i, j)
+            for state, (i, j) in zip(states, pairs)]
 
 
 def energy_gap(pair: PairState, h: PauliSum) -> float:
@@ -96,17 +100,25 @@ def supported_projector_pairs(k: int) -> set:
     return set()
 
 
-def _equal_branch_state(circuit: AnsatzCircuit, theta_star: Sequence[float],
-                        refs: ReferenceSet, labels: Sequence[int]
-                        ) -> StateVector:
+def _prepared_branches(refs: ReferenceSet, labels: Sequence[int]
+                       ) -> StateVector:
+    """The equal-branch preparation of ``refs`` under ``labels``, before U."""
     n = refs.n_qubits
     c = 1 if refs.k == 2 else 2
     state = StateVector(n + c)
     for a in range(c):
         apply_gate(state, gate_ry(n + a, math.pi / 2))
     run_program(state, isometry_network(refs, labels=labels, n_ancilla=c))
-    apply_ansatz(circuit, theta_star, state)
     return state
+
+
+def full_purified_state(circuit: AnsatzCircuit, theta_star: Sequence[float],
+                        refs: ReferenceSet) -> StateVector:
+    """The equal-branch K-way state the projector gaps read, with the
+    bit-reversed two-bit labels for K = 4: j -> (j & 1) << 1 | (j >> 1)."""
+    labels = ((0, 1) if refs.k == 2 else
+              tuple(((j & 1) << 1) | (j >> 1) for j in range(4)))
+    return apply_ansatz(circuit, theta_star, _prepared_branches(refs, labels))
 
 
 def pair_projector_operator(n_working: int, k: int, pair: Tuple[int, int]
@@ -134,14 +146,12 @@ def pair_projector_operator(n_working: int, k: int, pair: Tuple[int, int]
 
 def gap_from_full_purified(circuit: AnsatzCircuit, theta_star: Sequence[float],
                            refs: ReferenceSet, h: PauliSum,
-                           pair: Tuple[int, int]) -> float:
-    """Gap eps_i - eps_j measured on the equal-branch K-way state."""
-    k = refs.k
-    anc, scale = pair_projector_operator(refs.n_qubits, k, pair)
-    if k == 2:
-        labels: Sequence[int] = (0, 1)
-    else:
-        # bit-reversed two-bit labels: j -> (j & 1) << 1 | (j >> 1)
-        labels = tuple(((j & 1) << 1) | (j >> 1) for j in range(4))
-    state = _equal_branch_state(circuit, theta_star, refs, labels)
+                           pair: Tuple[int, int],
+                           state: Optional[StateVector] = None) -> float:
+    """Gap eps_i - eps_j measured on the equal-branch K-way state; pass
+    ``full_purified_state(circuit, theta_star, refs)`` as ``state`` to read
+    several gaps from one evolution."""
+    anc, scale = pair_projector_operator(refs.n_qubits, refs.k, pair)
+    if state is None:
+        state = full_purified_state(circuit, theta_star, refs)
     return scale * product_expectation(h, anc, state)

@@ -9,7 +9,7 @@ from qpvqe.ansatz import (_evolve, apply_ansatz, parameter_vector,
                           symmetry_screen, value_and_gradient)
 from qpvqe.noise import (channel_superoperator, depolarizing_kraus,
                          thermal_relaxation_kraus)
-from qpvqe.observables import _equal_branch_state, ancilla_projector
+from qpvqe.observables import ancilla_projector, full_purified_state
 from qpvqe.pauli import (PauliString, PauliSum, _I_POWERS, expectation,
                          paulisum_action)
 from qpvqe.statevector import (GateOp, StateVector, apply_gate,
@@ -202,6 +202,18 @@ def string_value_and_gradient(circuit, theta, h, initial):
         grad[rot.parameter_index] += 2.0 * rot.coefficient * float(
             np.vdot(lam_state.amplitudes, p_psi).imag)
     return energy, grad
+
+
+def full_register_apply_ansatz(circuit, theta, state):
+    """U(theta) (x) 1 in place on the whole register: every rotation runs
+    on its full ``StringPlan``.  ``apply_ansatz`` on the reachable rows
+    must reproduce it bit for bit, up to the sign of the exact zeros
+    outside those rows."""
+    theta = parameter_vector(theta)
+    state.amplitudes = _evolve(circuit.plans(state.n_qubits),
+                               circuit.angles(theta),
+                               state.tensor()).reshape(-1)
+    return state
 
 
 def full_register_value_and_gradient(circuit, theta, h, initial):
@@ -467,9 +479,7 @@ def product_projector_operator(h, n_working, k, pair):
 
 def product_gap_from_full_purified(circuit, theta, refs, h, pair):
     op, scale = product_projector_operator(h, refs.n_qubits, refs.k, pair)
-    labels = ((0, 1) if refs.k == 2 else
-              tuple(((j & 1) << 1) | (j >> 1) for j in range(4)))
-    state = _equal_branch_state(circuit, theta, refs, labels)
+    state = full_purified_state(circuit, theta, refs)
     return scale * expectation(op, state)
 
 

@@ -246,7 +246,7 @@ def test_criterion_6_gaps_and_amplitudes(h2_sweep, lih_run, h4_run):
         for i in range(k):
             for j in range(i + 1, k):
                 pair = prepare_pair(problem.circuit, result.theta_star,
-                                    problem.refs, i, j)
+                                    problem.refs, [(i, j)])[0]
                 gap = energy_gap(pair, problem.h)
                 worst = max(worst, abs(gap - (eps[i] - eps[j])))
                 for obs in (problem.h, hop):
@@ -261,7 +261,7 @@ def test_criterion_6_gaps_and_amplitudes(h2_sweep, lih_run, h4_run):
                                            problem.refs, problem.h,
                                            pair_indices)
             pair = prepare_pair(problem.circuit, result.theta_star,
-                                problem.refs, i, j)
+                                problem.refs, [(i, j)])[0]
             worst = max(worst, abs(gap_p - energy_gap(pair, problem.h)))
     report(6, "gap and amplitude extraction", worst <= 1e-10,
            f"max deviation across runs/pairs/routes = {worst:.2e} Ha")

@@ -170,6 +170,25 @@ class TestGradient:
         assert energy == pytest.approx(
             expectation_objective(m2_circuit, h, init)(theta), abs=1e-13)
 
+    def test_screen_of_another_hamiltonian_refused(self, m2_circuit):
+        # The rows hold the screen's own H: a screen of the 0.70 A
+        # Hamiltonian would return the 0.70 energy for any other H.
+        h, other = (load_hamiltonian(f"data/hamiltonians/h2_{r}.ham")
+                    for r in ("0.70", "2.00"))
+        init = init_basis(4, "1100")
+        theta = np.full(m2_circuit.parameter_count, 0.1)
+        screen = symmetry_screen(m2_circuit, h, init)
+        with pytest.raises(ValueError, match="another Hamiltonian"):
+            value_and_gradient(m2_circuit, theta, other, init, screen)
+        with pytest.raises(ValueError, match="another Hamiltonian"):
+            value_and_gradient(m2_circuit, theta,
+                               load_hamiltonian(H2_HAM), init, screen)
+        energy, _ = value_and_gradient(
+            m2_circuit, theta, other, init,
+            symmetry_screen(m2_circuit, other, init))
+        assert energy == pytest.approx(
+            expectation_objective(m2_circuit, other, init)(theta), abs=1e-13)
+
     def test_gradient_on_purified_register(self, m2_circuit):
         # gradient machinery must handle states wider than the ansatz
         h = load_hamiltonian(H2_HAM)

@@ -34,19 +34,19 @@ def hopping_observable():
 class TestPrepareAndGaps:
     def test_pair_state_normalized(self, h2_problem, h2_result):
         p = h2_problem
-        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 0, 1)
+        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(0, 1)])[0]
         assert pair.state.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_ancilla_marginal_maximally_mixed(self, h2_problem, h2_result):
         p = h2_problem
-        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 0, 2)
+        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(0, 2)])[0]
         t = pair.state.amplitudes.reshape(16, 2)
         rho = t.conj().T @ t
         assert np.max(np.abs(np.linalg.eigvalsh(rho) - 0.5)) < 1e-12
 
     def test_conditional_branches_are_eigenstates(self, h2_problem, h2_result):
         p = h2_problem
-        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 1, 3)
+        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(1, 3)])[0]
         t = pair.state.amplitudes.reshape(16, 2)
         for column, index in ((0, 1), (1, 3)):
             branch = t[:, column] * np.sqrt(2.0)
@@ -56,7 +56,7 @@ class TestPrepareAndGaps:
     def test_identical_indices_rejected(self, h2_problem, h2_result):
         with pytest.raises(ValueError):
             prepare_pair(h2_problem.circuit, h2_result.theta_star,
-                         h2_problem.refs, 2, 2)
+                         h2_problem.refs, [(2, 2)])[0]
 
     def test_gap_matches_extracted_energies(self, h2_problem, h2_result):
         p = h2_problem
@@ -64,21 +64,21 @@ class TestPrepareAndGaps:
         for i in range(4):
             for j in range(i + 1, 4):
                 pair = prepare_pair(p.circuit, h2_result.theta_star,
-                                    p.refs, i, j)
+                                    p.refs, [(i, j)])[0]
                 assert energy_gap(pair, p.h) == pytest.approx(
                     eps[i] - eps[j], abs=1e-10)
 
     def test_swap_negates_gap(self, h2_problem, h2_result):
         p = h2_problem
-        fwd = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 0, 3)
-        rev = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 3, 0)
+        fwd = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(0, 3)])[0]
+        rev = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(3, 0)])[0]
         assert energy_gap(fwd, p.h) == pytest.approx(-energy_gap(rev, p.h),
                                                      abs=1e-12)
 
     def test_degenerate_hamiltonian_zero_gap(self, h2_problem, h2_result):
         p = h2_problem
         const = PauliSum.identity(4, -0.75)
-        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 0, 1)
+        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(0, 1)])[0]
         assert energy_gap(pair, const) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -122,7 +122,7 @@ class TestProjectorGaps:
 class TestTransitionAmplitudes:
     def test_identity_observable_orthogonality(self, h2_problem, h2_result):
         p = h2_problem
-        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 0, 1)
+        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(0, 1)])[0]
         amp = transition_amplitude(pair, PauliSum.identity(4))
         assert abs(amp) < 1e-10
 
@@ -130,7 +130,8 @@ class TestTransitionAmplitudes:
                                           hopping_observable):
         p = h2_problem
         for (i, j) in ((0, 1), (0, 2), (1, 2), (2, 3)):
-            pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, i, j)
+            pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs,
+                                [(i, j)])[0]
             amp = transition_amplitude(pair, hopping_observable)
             direct = complex(np.vdot(
                 h2_result.states[i].amplitudes,
@@ -140,8 +141,8 @@ class TestTransitionAmplitudes:
 
     def test_hermiticity(self, h2_problem, h2_result, hopping_observable):
         p = h2_problem
-        fwd = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 1, 2)
-        rev = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 2, 1)
+        fwd = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(1, 2)])[0]
+        rev = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(2, 1)])[0]
         a = transition_amplitude(fwd, hopping_observable)
         b = transition_amplitude(rev, hopping_observable)
         assert a == pytest.approx(np.conj(b), abs=1e-12)
@@ -150,7 +151,7 @@ class TestTransitionAmplitudes:
                                               hopping_observable):
         # <Psi| O (x) X |Psi> = (<e_i|O|e_j> + <e_j|O|e_i>)/2
         p = h2_problem
-        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 0, 2)
+        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(0, 2)])[0]
         amp = transition_amplitude(pair, hopping_observable)
         sym = 0.5 * (np.vdot(h2_result.states[0].amplitudes,
                              paulisum_action(hopping_observable, 4,
@@ -162,7 +163,7 @@ class TestTransitionAmplitudes:
 
     def test_rejects_non_hermitian(self, h2_problem, h2_result):
         p = h2_problem
-        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, 0, 1)
+        pair = prepare_pair(p.circuit, h2_result.theta_star, p.refs, [(0, 1)])[0]
         bad = PauliSum(4, {PauliString.from_word(4, "X0"): 1.0j})
         with pytest.raises(ValueError):
             transition_amplitude(pair, bad)
@@ -202,7 +203,7 @@ class TestProductFreeReadout:
             for j in range(refs.k):
                 if i == j:
                     continue
-                pair = prepare_pair(circuit, theta, refs, i, j)
+                pair = prepare_pair(circuit, theta, refs, [(i, j)])[0]
                 assert hex_parts(energy_gap(pair, h)) == \
                     hex_parts(product_energy_gap(pair, h)), (i, j)
                 for o in (h, obs):
