@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 SCREEN_TESTS = ("tests/test_screen.py",)
 ROW_TESTS = ("tests/test_rows.py",)
+NOISY_ROW_TESTS = ("tests/test_noisy_rows.py",)
 
 MUTANTS = (
     # The symmetry screen (ansatz.symmetry_screen, SymmetryScreen.sector,
@@ -88,6 +89,14 @@ MUTANTS = (
     Mutant("controls-sliced-ascending", "src/qpvqe/statevector.py",
            "sorted(gate.controls, reverse=True)", "sorted(gate.controls)",
            ("tests/test_statevector.py",)),
+    # The noisy ansatz on the reachable rows of vec(rho) (_vec_sector,
+    # _compile_vec_sector).
+    Mutant("vec-span-paired-flips-dropped", "src/qpvqe/noise.py",
+           "flips.update(paired)", "flips.update(())", NOISY_ROW_TESTS),
+    Mutant("vec-column-half-on-row-masks", "src/qpvqe/noise.py",
+           "PauliString(2 * n, *_register_masks(rot.string, n))",
+           "PauliString(2 * n, *_register_masks(rot.string, 2 * n))",
+           NOISY_ROW_TESTS),
     # Calibration records: pair 1,0 is pair 0,1.
     Mutant("pair-key-unnormalized", "src/qpvqe/noise.py",
            "pairs[unique(pairs, (min(a, b), max(a, b)))]",

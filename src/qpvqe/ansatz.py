@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,9 +66,12 @@ class AnsatzCircuit:
     _plans: Dict[int, Tuple[StringPlan, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     # The Sectors of ``apply_ansatz`` by (register, span, representatives),
-    # at most SECTOR_CACHE_SIZE; the oldest is dropped first.
+    # and those of ``noise.apply_noisy_ansatz`` on vec(rho) by the same key,
+    # each map at most SECTOR_CACHE_SIZE (``cached_sector``).
     _sectors: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], "Sector"] = \
         field(default_factory=dict, init=False, compare=False, repr=False)
+    _vec_sectors: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], object] \
+        = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for rot in self.rotations:
@@ -128,7 +131,9 @@ def build_uccgsd(generators: Sequence[ExcitationGenerator]) -> AnsatzCircuit:
     return AnsatzCircuit(n_working, tuple(rotations), n_params)
 
 
-def _checked_theta(circuit: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:
+def checked_theta(circuit: AnsatzCircuit,
+                  theta: Sequence[float]) -> np.ndarray:
+    """theta as a finite float vector of the circuit's parameter count."""
     theta = parameter_vector(theta)
     if theta.size != circuit.parameter_count:
         raise ValueError(
@@ -153,7 +158,7 @@ def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],
     The states of each register size evolve together in one
     ``_evolve_batch`` pass on the rows they can reach.
     """
-    theta = _checked_theta(circuit, theta)
+    theta = checked_theta(circuit, theta)
     angles = circuit.angles(theta)
     by_register: Dict[int, List[StateVector]] = {}
     for state in [states] if isinstance(states, StateVector) else states:
@@ -191,21 +196,27 @@ def _batch_sector(circuit: AnsatzCircuit, angles: Sequence[float],
     for state in states[1:]:
         occupied |= state.amplitudes != 0
     kept = ((1 << n) - 1) & ~int(np.bitwise_or.reduce(masks, initial=0))
-    representatives, premise = _branches(np.flatnonzero(occupied), kept)
+    representatives, premise = branches(np.flatnonzero(occupied), kept)
     active = {mask for mask, angle in zip(masks.tolist(), angles)
               if angle != 0.0}
     span = gf2_span(chain(premise, active))
-    key = (n, tuple(sorted(span.values())), representatives)
-    sector = circuit._sectors.get(key)
+    # a screen with no H whose span no parameter widens
+    return cached_sector(
+        circuit._sectors, (n, tuple(sorted(span.values())), representatives),
+        lambda: _compile_sector(SymmetryScreen(
+            circuit, None, n, span, ((),) * circuit.parameter_count,
+            representatives), span))
+
+
+def cached_sector(sectors: Dict, key, compile: Callable[[], object]):
+    """``sectors[key]``, compiled on first use.  A map holds at most
+    SECTOR_CACHE_SIZE sectors; the oldest is dropped first."""
+    sector = sectors.get(key)
     if sector is None:
-        # a screen with no H whose span no parameter widens
-        screen = SymmetryScreen(circuit, None, n, span,
-                                ((),) * circuit.parameter_count,
-                                representatives)
-        sector = _compile_sector(screen, span)
-        if len(circuit._sectors) >= SECTOR_CACHE_SIZE:
-            del circuit._sectors[next(iter(circuit._sectors))]
-        circuit._sectors[key] = sector
+        sector = compile()
+        if len(sectors) >= SECTOR_CACHE_SIZE:
+            del sectors[next(iter(sectors))]
+        sectors[key] = sector
     return sector
 
 
@@ -273,10 +284,8 @@ class SymmetryScreen:
 def _compile_sector(screen: SymmetryScreen, span: Dict[int, int]) -> Sector:
     """The rows of ``span`` (a ``gf2_span``) and the circuit and H compiled
     on them."""
-    rows = np.array(screen.representatives, dtype=np.intp)
-    for row in span.values():
-        rows = np.concatenate((rows, rows ^ row))
-    rows = SectorRows(screen.n_qubits, np.sort(rows))
+    rows = SectorRows(screen.n_qubits,
+                      sector_rows(screen.representatives, span))
 
     circuit = screen.circuit
     by_string: Dict[PauliString, Optional[RowPlan]] = {}
@@ -291,6 +300,16 @@ def _compile_sector(screen: SymmetryScreen, span: Dict[int, int]) -> Sector:
     return Sector(rows.rows, strings, terms,
                   [r for r in range(len(strings) - 1, -1, -1)
                    if strings[r] is not None])
+
+
+def sector_rows(representatives: Sequence[int],
+                span: Dict[int, int]) -> np.ndarray:
+    """The sorted rows of the representatives plus ``span`` (a
+    ``gf2_span`` with no element that tells two representatives apart)."""
+    rows = np.array(representatives, dtype=np.intp)
+    for row in span.values():
+        rows = np.concatenate((rows, rows ^ row))
+    return np.sort(rows)
 
 
 def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
@@ -311,8 +330,8 @@ def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
     h_masks = [flip_mask(string, n) for string, _ in h.items()]
     masks = [flip_mask(rot.string, n) for rot in circuit.rotations]
     kept = ((1 << n) - 1) & ~int(np.bitwise_or.reduce(h_masks + masks))
-    representatives, premise = _branches(np.flatnonzero(initial.amplitudes),
-                                         kept)
+    representatives, premise = branches(np.flatnonzero(initial.amplitudes),
+                                        kept)
     by_parameter: List[set] = [set() for _ in range(circuit.parameter_count)]
     for rot, mask in zip(circuit.rotations, masks):
         by_parameter[rot.parameter_index].add(mask)
@@ -320,8 +339,8 @@ def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
                           tuple(map(tuple, by_parameter)), representatives)
 
 
-def _branches(occupied: np.ndarray, kept: int
-              ) -> Tuple[Tuple[int, ...], List[int]]:
+def branches(occupied: np.ndarray, kept: int
+             ) -> Tuple[Tuple[int, ...], List[int]]:
     """One representative per branch, the first of the ``occupied``
     indices that share its bits under ``kept`` (the label), and the
     premise flips: each index XOR its branch's representative."""
@@ -369,7 +388,7 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
     """
     if h is not screen.h:
         raise ValueError("the screen was built for another Hamiltonian")
-    theta = _checked_theta(circuit, theta)
+    theta = checked_theta(circuit, theta)
     sector = screen.sector(theta)
     strings = sector.strings
     angles = circuit.angles(theta)

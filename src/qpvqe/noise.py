@@ -15,25 +15,35 @@ qubits 0..n-1 index rows and qubits n..2n-1 index columns, so
 vec(U rho U^dag) = (U (x) conj U) vec(rho).  Each operation therefore
 runs twice: on the row qubits and, by the conjugate rule, on the column
 qubits.  The preparation gates (X, RY and their controlled forms) are
-real and run through ``apply_gate`` again on qubits shifted by n.  The
-ansatz runs on its circuit's compiled plans (``AnsatzCircuit.plans``):
-rotation r is ``plans(2n)[r]`` on the row qubits, then ``plans(n)[r]``,
-whose leading Ellipsis addresses the last n axes of the 2n-axis tensor,
-on the column qubits at angle -(-1)^{#Y} phi, because conj P =
-(-1)^{#Y} P.  Either costs O(4^n) and no 2^n x 2^n
-operator is ever built.  Each calibrated channel is a 4x4 (one qubit) or
-16x16 (pair) superoperator applied as one gather -> matmul -> scatter
-over an index plan of its row and column qubits.  Pauli expectations read
-the strings' compiled ``StringPlan``s: Tr(P rho) is a gather of
-rho[j, j ^ m] along the diagonal flipped by the plan's mask m, weighted by
-its signs and conjugate scalar.
+real and run through ``apply_gate`` again on qubits shifted by n, over
+all 4^n entries.  Each calibrated channel is a 4x4 (one qubit) or 16x16
+(pair) superoperator applied as one gather -> matmul -> scatter over an
+index plan of its row and column qubits.  No 2^n x 2^n operator is ever
+built.
+
+The ansatz runs on the rows of vec(rho) it can reach, not on all 4^n
+entries.  A rotation flips its X mask on the row qubits, and its
+conjugate (angle -(-1)^{#Y} phi, because conj P = (-1)^{#Y} P) flips it
+on the column qubits; every Kraus operator of a one-qubit channel flips
+its qubit's row bit and column bit together, or neither.  So the entries
+rho can reach are one representative per branch of its support plus the
+GF(2) span of those flips (the symmetry screen's argument on 2n qubits):
+512 of 4096 in the noisy H2 run.  Each rotation runs as two ``RowPlan``s
+on those rows, the column half compiled from the string's masks on the
+column qubits, and each channel as the gather -> matmul -> scatter of its
+plan's columns that touch a row.  The result is scattered into a zero
+4^n buffer, so the expectations read the full register.  Pauli
+expectations read the strings' compiled ``StringPlan``s: Tr(P rho) is a
+gather of rho[j, j ^ m] along the diagonal flipped by the plan's mask m,
+weighted by its signs and conjugate scalar.
 
 Everything derived from a calibration lives on that calibration object
 and is filled on first use: channel superoperators and gather plans per
 operand set, and the noisy, theta-independent preparation state per
-preparation program, which every evaluation then copies.  Nothing derived
-is kept at module level, so a freed calibration can never lend its
-channels to a new one.
+preparation program, which every evaluation then copies.  The rows of
+vec(rho) and the rotations compiled on them live on the circuit, at most
+``ansatz.SECTOR_CACHE_SIZE`` of them.  Nothing derived is kept at module
+level, so a freed calibration can never lend its channels to a new one.
 
 Circuits may address more qubits than the calibration covers (the device
 table has five qubits); lookups wrap around the table and unknown pairs
@@ -49,8 +59,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit, parameter_vector
-from .pauli import DimensionMismatch, PauliString, PauliSum, StringPlan
+from .ansatz import (AnsatzCircuit, branches, cached_sector, checked_theta,
+                     sector_rows)
+from .pauli import (DimensionMismatch, PauliString, PauliSum, RowPlan,
+                    SectorRows, StringPlan, _register_masks, flip_mask,
+                    gf2_reduce, gf2_span)
 from .statevector import GateOp, StateVector, apply_gate
 
 DEFAULT_GATE_TIME_1Q_NS = 35.6
@@ -339,8 +352,9 @@ def _gather_plan(calib: CalibrationData, n: int,
 
 
 def _noise_channels(calib: CalibrationData, n: int, operands: Tuple[int, ...],
-                    two_qubit: bool) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """(superoperator, gather plan) pairs of the noise on sorted operands,
+                    two_qubit: bool
+                    ) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
+    """(superoperator, qubits) pairs of the noise on sorted operands,
     cached on the calibration by operand set.
 
     A two-qubit gate draws the pair's 16x16 depolarizing channel, then
@@ -357,7 +371,7 @@ def _noise_channels(calib: CalibrationData, n: int, operands: Tuple[int, ...],
 
     def push(superop: np.ndarray, qubits: Tuple[int, ...]):
         if not np.allclose(superop, np.eye(superop.shape[0]), atol=1e-15):
-            channels.append((superop, _gather_plan(calib, n, qubits)))
+            channels.append((superop, qubits))
 
     if two_qubit:
         pair = calib.pair(operands[0], operands[1])
@@ -398,7 +412,8 @@ def apply_noisy_gate(rho: DensityMatrix, gate: GateOp,
     apply_gate(rho.vec, gate.shifted(n))
     amps = rho.vec.amplitudes
     two_qubit = len(operands) == 2
-    for superop, plan in _noise_channels(calib, n, operands, two_qubit):
+    for superop, qubits in _noise_channels(calib, n, operands, two_qubit):
+        plan = _gather_plan(calib, n, qubits)
         amps[plan] = superop @ amps[plan]
     return rho
 
@@ -408,26 +423,153 @@ def apply_noisy_ansatz(rho: DensityMatrix, circuit: AnsatzCircuit, theta,
     """U(theta) rotation by rotation, each followed by its operands'
     one-qubit channels; zero angles are skipped.
 
-    Rotation r at angle phi runs ``circuit.plans(2n)[r]`` on the row
-    qubits, then ``circuit.plans(n)[r]`` on the column qubits at
-    -(-1)^{#Y} phi; that plan's scalar (-i)^{#Y} squares to (-1)^{#Y}.
+    The work runs on the rows of vec(rho) that rho can reach
+    (``_vec_sector``), held in an array of M + 1 entries whose last is a
+    zero pad slot.  Rotation r at angle phi runs its row-half ``RowPlan``,
+    then its column-half one at -(-1)^{#Y} phi; that plan's scalar
+    (-i)^{#Y} squares to (-1)^{#Y}.  Each channel is one gather -> matmul
+    -> scatter over the columns of its plan that touch a row; members of
+    those columns outside the rows read the pad, which is zeroed again
+    after the scatter.  The rows are then scattered into a zero 4^n
+    buffer.
+    """
+    theta = checked_theta(circuit, theta)
+    n = rho.n_qubits
+    if n < circuit.n_working_qubits:
+        raise ValueError("density matrix smaller than the ansatz")
+    steps = [(r, angle) + _rotation_noise(calib, n, rot.string)
+             for r, (rot, angle) in enumerate(zip(circuit.rotations,
+                                                  circuit.angles(theta)))
+             if angle != 0.0]
+    sector = _vec_sector(circuit, rho, steps)
+    size = sector.rows.size
+    amps = np.zeros(size + 1, dtype=complex)
+    amps[:size] = rho.vec.amplitudes[sector.rows]
+    for r, angle, channels, _ in steps:
+        row, column = sector.halves[r]
+        amps[:size] = column.rotate(row.rotate(amps[:size], angle),
+                                    -(column.scalar ** 2).real * angle)
+        for superop, (qubit,) in channels:
+            gather = sector.gather(qubit)
+            amps[gather] = superop @ amps[gather]
+            amps[size] = 0.0
+    out = np.zeros(1 << (2 * n), dtype=complex)
+    out[sector.rows] = amps[:size]
+    rho.vec.amplitudes = out
+    return rho
+
+
+def _paired_flip(n: int, qubit: int) -> int:
+    """The flip of a qubit's row bit and column bit together on vec(rho)."""
+    return 1 << (2 * n - 1 - qubit) | 1 << (n - 1 - qubit)
+
+
+def _rotation_noise(calib: CalibrationData, n: int, string: PauliString
+                    ) -> Tuple[List[Tuple[np.ndarray, Tuple[int, ...]]],
+                               Tuple[int, ...]]:
+    """The one-qubit channels after a rotation on ``string`` and their
+    paired flips, cached on the calibration by the string's support."""
+    key = ("rotation", n, string.n_qubits, string.x | string.z)
+    noise = calib._derived.get(key)
+    if noise is None:
+        channels = _noise_channels(calib, n, string.support(), False)
+        noise = (channels, tuple(_paired_flip(n, q) for _, qubits in channels
+                                 for q in qubits))
+        calib._derived[key] = noise
+    return noise
+
+
+def _vec_sector(circuit: AnsatzCircuit, rho: DensityMatrix,
+                steps: Sequence[tuple]) -> "VecSector":
+    """The ``VecSector`` of the rows of vec(rho) the ansatz steps reach.
+
+    Every rotation flips its X mask on the row half or on the column
+    half, and every Kraus operator of a one-qubit channel flips its
+    qubit's row and column bits together or neither.  So the rows are
+    one representative per branch of rho's support (labelled by the bits
+    outside the rotations' row and column qubits), plus the GF(2) span of
+    the premise flips, each running rotation's two masks and the paired
+    flip of each qubit its channels touch (Bravyi et al.,
+    arXiv:1701.08213, on 2n qubits).  Kept on the circuit by (register,
+    span, representatives).
     """
     n = rho.n_qubits
-    narrow = circuit.plans(n)  # raises if the circuit is wider than rho
-    wide = circuit.plans(2 * n)
-    tensor = rho.vec.tensor()
-    for rot, row, column, angle in zip(circuit.rotations, wide, narrow,
-                                       circuit.angles(parameter_vector(theta))):
-        if angle == 0.0:
-            continue
-        tensor = row.rotate(tensor, angle)
-        tensor = column.rotate(tensor, -(column.scalar ** 2).real * angle)
-        amps = tensor.reshape(-1)
-        for superop, plan in _noise_channels(calib, n, rot.string.support(),
-                                             False):
-            amps[plan] = superop @ amps[plan]
-    rho.vec.amplitudes = tensor.reshape(-1)
-    return rho
+    # a string's masks move onto the row or the column qubits of vec(rho)
+    to_rows = 2 * n - circuit.n_working_qubits
+    to_columns = n - circuit.n_working_qubits
+    support = 0
+    for rot in circuit.rotations:
+        support |= rot.string.x | rot.string.z
+    kept = ((1 << (2 * n)) - 1) & ~(support << to_rows | support << to_columns)
+    representatives, premise = branches(np.flatnonzero(rho.vec.amplitudes),
+                                        kept)
+    flips = set(premise)
+    for r, _, _, paired in steps:
+        mask = int(circuit.mask[r])
+        flips.add(mask << to_rows)
+        flips.add(mask << to_columns)
+        flips.update(paired)
+    span = gf2_span(flips)
+    return cached_sector(
+        circuit._vec_sectors,
+        (2 * n, tuple(sorted(span.values())), representatives),
+        lambda: _compile_vec_sector(circuit, n, representatives, span))
+
+
+@dataclass(frozen=True, eq=False)
+class VecSector:
+    """Rows of vec(rho) closed under one span, with the circuit compiled
+    on them: per rotation its (row half, column half) ``RowPlan``s, None
+    where the span does not hold its masks, and per channel qubit one
+    gather (``gather``)."""
+
+    n_qubits: int                # of rho; vec(rho) has 2n
+    rows: np.ndarray             # sorted indices of vec(rho)
+    halves: Tuple[Optional[Tuple[RowPlan, RowPlan]], ...]
+    _gathers: Dict[int, np.ndarray] = field(default_factory=dict,
+                                            init=False, repr=False)
+
+    def gather(self, qubit: int) -> np.ndarray:
+        """Row positions of the columns of ``_gather_plan`` for ``qubit``
+        that touch a row, shaped (4, C); a member outside the rows reads
+        the pad slot M."""
+        gather = self._gathers.get(qubit)
+        if gather is None:
+            rows = self.rows
+            flip = _paired_flip(self.n_qubits, qubit)
+            row_bit = 1 << (2 * self.n_qubits - 1 - qubit)
+            column_bit = flip ^ row_bit
+            # the plan lists a column's members by (row bit, column bit):
+            # 00, 01, 10, 11; and its columns by their other bits, ascending
+            touched = np.zeros(1 << (2 * self.n_qubits), dtype=bool)
+            touched[rows & ~flip] = True
+            members = np.flatnonzero(touched) | np.array(
+                [0, column_bit, row_bit, flip])[:, None]
+            gather = np.searchsorted(rows, members)
+            missing = rows[np.minimum(gather, rows.size - 1)] != members
+            gather[missing] = rows.size
+            self._gathers[qubit] = gather
+        return gather
+
+
+def _compile_vec_sector(circuit: AnsatzCircuit, n: int,
+                        representatives: Tuple[int, ...],
+                        span: Dict[int, int]) -> VecSector:
+    """The rows of ``span`` on vec(rho) and each rotation's two halves
+    compiled on them; the column half is the string's masks on the
+    column qubits, so it runs through the same ``RowPlan``."""
+    rows = SectorRows(2 * n, sector_rows(representatives, span))
+    by_string: Dict[PauliString, Optional[Tuple[RowPlan, RowPlan]]] = {}
+    for rot in circuit.rotations:
+        if rot.string not in by_string:
+            column = PauliString(2 * n, *_register_masks(rot.string, n))
+            inside = not (gf2_reduce(flip_mask(rot.string, 2 * n), span)
+                          or gf2_reduce(column.x, span))
+            by_string[rot.string] = ((RowPlan(rot.string, rows),
+                                      RowPlan(column, rows)) if inside
+                                     else None)
+    return VecSector(n, rows.rows,
+                     tuple(by_string[rot.string] for rot in circuit.rotations))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +617,7 @@ def noisy_ensemble_energy(h: PauliSum, circuit, prep, theta,
     Per-term traces read the plans ``h.plans(n)`` compiled once per
     Hamiltonian.
     """
+    theta = checked_theta(circuit, theta)
     n = prep.n_qubits
     key = ("prep", n, prep.program)
     prepared = calib._derived.get(key)

@@ -7,8 +7,8 @@ import numpy as np
 
 from qpvqe.ansatz import (_evolve, apply_ansatz, parameter_vector,
                           symmetry_screen, value_and_gradient)
-from qpvqe.noise import (channel_superoperator, depolarizing_kraus,
-                         thermal_relaxation_kraus)
+from qpvqe.noise import (_gather_plan, _noise_channels, channel_superoperator,
+                         depolarizing_kraus, thermal_relaxation_kraus)
 from qpvqe.observables import ancilla_projector, full_purified_state
 from qpvqe.pauli import (PauliString, PauliSum, _I_POWERS, expectation,
                          paulisum_action)
@@ -387,6 +387,31 @@ def string_noisy_ansatz(rho, circuit, theta, calib):
                 continue
             plan = np.moveaxis(flat, (q, n + q), (0, 1)).reshape(4, -1)
             amps[plan] = superop @ amps[plan]
+    return rho
+
+
+def full_register_noisy_ansatz(rho, circuit, theta, calib):
+    """The noisy ansatz on the whole of vec(rho): rotation r runs
+    ``circuit.plans(2n)[r]`` on the row qubits, then ``circuit.plans(n)[r]``,
+    whose leading Ellipsis addresses the last n axes, on the column qubits
+    at -(-1)^{#Y} phi; each channel is one gather -> matmul -> scatter over
+    its full ``_gather_plan``.  ``apply_noisy_ansatz`` on the reachable rows
+    must reproduce it bit for bit."""
+    theta = parameter_vector(theta)
+    n = rho.n_qubits
+    tensor = rho.vec.tensor()
+    for rot, row, column, angle in zip(circuit.rotations, circuit.plans(2 * n),
+                                       circuit.plans(n), circuit.angles(theta)):
+        if angle == 0.0:
+            continue
+        tensor = row.rotate(tensor, angle)
+        tensor = column.rotate(tensor, -(column.scalar ** 2).real * angle)
+        amps = tensor.reshape(-1)
+        for superop, qubits in _noise_channels(calib, n, rot.string.support(),
+                                               False):
+            plan = _gather_plan(calib, n, qubits)
+            amps[plan] = superop @ amps[plan]
+    rho.vec.amplitudes = tensor.reshape(-1)
     return rho
 
 
