@@ -75,10 +75,19 @@ MUTANTS = (
 """,
            ("tests/test_acceptance.py", "-k",
             "stored_benchmark_record")),
-    # Pauli algebra.
+    # Pauli algebra: the phase rule that multiply and Jordan-Wigner share
+    # (pauli.product_power), and the listing order of sorted_terms.
     Mutant("product-phase-term-swapped", "src/qpvqe/pauli.py",
-           "2 * (a.z & b.x).bit_count()", "2 * (a.x & b.z).bit_count()",
+           "2 * (az & bx).bit_count()", "2 * (ax & bz).bit_count()",
            ("tests/test_pauli.py",)),
+    Mutant("phase-rule-product-y-from-factors", "src/qpvqe/pauli.py",
+           "- ((ax ^ bx) & (az ^ bz)).bit_count()",
+           "- ((ax & az) ^ (bx & bz)).bit_count()",
+           ("tests/test_fermion.py", "tests/test_ansatz.py::TestBuildUccgsd::"
+            "test_rotation_string_order_frozen")),
+    Mutant("listing-key-prefix-tiebreak-dropped", "src/qpvqe/pauli.py",
+           "            support.bit_count())", "            0)",
+           ("tests/test_pauli.py", "-k", "SortedTerms")),
     Mutant("letters-y-z-swapped", "src/qpvqe/pauli.py",
            '"Y": (1, 1), "Z": (0, 1)}', '"Y": (0, 1), "Z": (1, 1)}',
            ("tests/test_pauli.py",)),

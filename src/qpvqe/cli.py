@@ -47,7 +47,11 @@ def _seed_from(args) -> int:
 
 def _parse_sector(text: str) -> Tuple[int, float]:
     n_text, _, sz_text = text.partition(",")
-    return int(n_text), float(sz_text)
+    try:
+        return int(n_text), float(sz_text)
+    except ValueError:
+        raise ValueError(f"bad sector {text!r}: expected N,Sz such as "
+                         "2,0") from None
 
 
 def _setup_problem(hamiltonian_path: str, sector: Tuple[int, float], k: int,

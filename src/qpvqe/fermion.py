@@ -2,7 +2,9 @@
 
 Spin-orbitals follow the interleaved ordering: spatial orbital p with
 spin alpha sits on qubit 2p, spin beta on qubit 2p+1.  Creation operators
-map as a_p^dag -> (prod_{k<p} Z_k)(X_p - i Y_p)/2.
+map as a_p^dag -> (prod_{k<p} Z_k)(X_p - i Y_p)/2, multiplied out on the
+strings' (x, z) masks (phases by ``pauli.product_power``) into one
+``PauliSum`` per call.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .pauli import PauliString, PauliSum, multiply
+from .pauli import (COEFF_PRUNE_TOL, PauliString, PauliSum, _I_POWERS,
+                    product_power)
 
 
 @dataclass(frozen=True)
@@ -33,37 +36,47 @@ def spin_of(mode: int) -> float:
     return 0.5 if mode % 2 == 0 else -0.5
 
 
-def _ladder_paulisum(mode: int, dagger: bool, n_modes: int) -> PauliSum:
-    bit = 1 << (n_modes - 1 - mode)
-    z_prefix = ((1 << mode) - 1) << (n_modes - mode)   # Z on modes < mode
-    x_string = PauliString(n_modes, bit, z_prefix)
-    y_string = PauliString(n_modes, bit, z_prefix | bit)
-    sign = -1.0j if dagger else 1.0j
-    return PauliSum(n_modes, {x_string: 0.5, y_string: 0.5 * sign})
+# The (X_p, Y_p) weights of a_p and a_p^dag, indexed by dagger.
+_LADDER_WEIGHTS = ((0.5 + 0j, 0.5j), (0.5 + 0j, complex(0.0, -0.5)))
 
 
 def jordan_wigner(term: FermionTerm, n_modes: int) -> PauliSum:
     """Standard JW image of one fermionic term, expanded and simplified."""
-    for mode, _ in term.ladder:
-        if not 0 <= mode < n_modes:
-            raise ValueError(f"mode {mode} out of range for {n_modes} modes")
-    acc: Dict[PauliString, complex] = {PauliString(n_modes): term.coefficient}
-    for mode, dagger in term.ladder:
-        factor = _ladder_paulisum(mode, dagger, n_modes)
-        nxt: Dict[PauliString, complex] = {}
-        for s_a, c_a in acc.items():
-            for s_b, c_b in factor.items():
-                phase, prod = multiply(s_a, s_b)
-                nxt[prod] = nxt.get(prod, 0.0) + c_a * c_b * phase
-        acc = nxt
-    return PauliSum(n_modes, acc)
+    return jordan_wigner_sum((term,), n_modes)
 
 
 def jordan_wigner_sum(terms: Sequence[FermionTerm], n_modes: int) -> PauliSum:
-    out = PauliSum(n_modes)
+    """Sum of the terms' JW images on (x, z) masks, in term order.
+
+    An image multiplies its ladder factors in order, summing like products
+    as they arise.  As ``PauliSum`` addition does, a string is dropped once
+    its coefficient is at most ``COEFF_PRUNE_TOL`` in an image or in the
+    running sum, and listed at the end if it returns.
+    """
+    out: Dict[Tuple[int, int], complex] = {}
     for term in terms:
-        out = out + jordan_wigner(term, n_modes)
-    return out
+        image = {(0, 0): term.coefficient}
+        for mode, dagger in term.ladder:
+            if not 0 <= mode < n_modes:
+                raise ValueError(f"mode {mode} out of range for {n_modes} "
+                                 "modes")
+            bit = 1 << (n_modes - 1 - mode)
+            z_prefix = ((1 << mode) - 1) << (n_modes - mode)  # Z below the mode
+            c_x, c_y = _LADDER_WEIGHTS[dagger]
+            factor = ((z_prefix, c_x), (z_prefix | bit, c_y))
+            acc, image = image, {}
+            for (ax, az), c_a in acc.items():
+                for bz, c_b in factor:
+                    key = (ax ^ bit, az ^ bz)
+                    phase = _I_POWERS[product_power(ax, az, bit, bz)]
+                    image[key] = image.get(key, 0.0) + c_a * c_b * phase
+        for key, c in image.items():
+            if abs(c) > COEFF_PRUNE_TOL:
+                out[key] = c = out.get(key, 0.0) + c
+                if abs(c) <= COEFF_PRUNE_TOL:
+                    del out[key]
+    return PauliSum(n_modes, {PauliString(n_modes, x, z): c
+                              for (x, z), c in out.items()})
 
 
 @dataclass(frozen=True)
@@ -89,24 +102,6 @@ class ExcitationGenerator:
     def label(self) -> str:
         head = "s" if self.kind == "single" else "d"
         return head + ":" + ",".join(str(i) for i in self.indices)
-
-
-def _single_generator(p: int, q: int, n_modes: int) -> PauliSum:
-    # Spin-restricted: alpha and beta channels of the spatial pair share t.
-    terms = []
-    for spin in ("a", "b"):
-        hi, lo = spin_orbital(q, spin), spin_orbital(p, spin)
-        terms.append(FermionTerm(1.0, ((hi, True), (lo, False))))
-        terms.append(FermionTerm(-1.0, ((lo, True), (hi, False))))
-    return jordan_wigner_sum(terms, n_modes)
-
-
-def _double_generator(p: int, q: int, r: int, s: int, n_modes: int) -> PauliSum:
-    terms = [
-        FermionTerm(1.0, ((p, True), (q, True), (r, False), (s, False))),
-        FermionTerm(-1.0, ((s, True), (r, True), (q, False), (p, False))),
-    ]
-    return jordan_wigner_sum(terms, n_modes)
 
 
 def parse_excitation_label(label: str) -> Tuple[str, Tuple[int, ...]]:
@@ -141,7 +136,11 @@ def enumerate_sz_excitations(
             p, q = indices
             if not 0 <= p < q < m_spatial:
                 raise ValueError(f"bad spatial single indices {indices}")
-            form = _single_generator(p, q, n_modes)
+            # Spin-restricted: the alpha and beta channels share t.
+            channels = [(spin_orbital(q, s), spin_orbital(p, s)) for s in "ab"]
+            terms = [FermionTerm(sign, ((a, True), (b, False)))
+                     for hi, lo in channels
+                     for sign, a, b in ((1.0, hi, lo), (-1.0, lo, hi))]
         else:
             p, q, r, s = indices
             if not (0 <= p < q < n_modes and 0 <= r < s < n_modes):
@@ -150,7 +149,11 @@ def enumerate_sz_excitations(
                 raise ValueError(f"double {indices} is diagonal")
             if spin_of(p) + spin_of(q) != spin_of(r) + spin_of(s):
                 raise ValueError(f"double {indices} changes S_z")
-            form = _double_generator(p, q, r, s, n_modes)
+            terms = [FermionTerm(1.0, ((p, True), (q, True), (r, False),
+                                       (s, False))),
+                     FermionTerm(-1.0, ((s, True), (r, True), (q, False),
+                                        (p, False)))]
+        form = jordan_wigner_sum(terms, n_modes)
         if len(form) == 0:
             raise ValueError(f"excitation {kind}{indices} vanishes identically")
         return ExcitationGenerator(kind, indices, param, form)
@@ -163,16 +166,13 @@ def enumerate_sz_excitations(
                 for param, lab in enumerate(labels)]
 
     generators: List[ExcitationGenerator] = []
-    param = 0
     for p in range(m_spatial):
         for q in range(p + 1, m_spatial):
-            generators.append(build("single", (p, q), param))
-            param += 1
+            generators.append(build("single", (p, q), len(generators)))
     pairs = [(p, q) for p in range(n_modes) for q in range(p + 1, n_modes)]
     for i, (p, q) in enumerate(pairs):
         for (r, s) in pairs[i + 1:]:
             if spin_of(p) + spin_of(q) != spin_of(r) + spin_of(s):
                 continue
-            generators.append(build("double", (p, q, r, s), param))
-            param += 1
+            generators.append(build("double", (p, q, r, s), len(generators)))
     return generators

@@ -127,6 +127,8 @@ def exact_diagonalize(h: PauliSum, sector: Optional[Tuple[int, float]] = None,
     before allocation: the full or sector matrix (inside ``to_matrix``),
     and a sector's eigenvectors embedded in the full register.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     dim = 1 << h.n_qubits
     basis = None
     if sector is not None:

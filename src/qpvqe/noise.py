@@ -265,14 +265,11 @@ class DensityMatrix:
 
         P[j ^ m, j] = scalar * sign[j ^ m] = conj(scalar) * sign[j], so
         Tr(P rho) = conj(scalar) * sum_j sign[j] rho[j, j ^ m]: one gather
-        of 2^n entries.
+        of 2^n entries, whose index the plan keeps (``trace_gather``).
         """
-        dim = 1 << self.n_qubits
-        rows = np.arange(dim)
-        signs = (np.ones(dim, dtype=np.int8) if plan.signs is None
-                 else plan.signs.reshape(-1))
-        return np.conj(plan.scalar) * np.dot(
-            signs, self.vec.amplitudes[rows * dim + (rows ^ plan.mask)])
+        signs, positions = plan.trace_gather(self.n_qubits)
+        return np.conj(plan.scalar) * np.dot(signs,
+                                             self.vec.amplitudes[positions])
 
 
 # I, X, Y, Z as 2x2 matrices.

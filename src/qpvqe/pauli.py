@@ -8,7 +8,8 @@ throughout, so the bitstring |1100> denotes qubits 0 and 1 occupied (basis
 index 12 on four qubits).
 
 Phases arising from string products are tracked exactly as powers of i
-(popcounts of the masks mod 4), never as floating point.
+(popcounts of the masks mod 4), never as floating point: ``product_power``,
+read by ``multiply`` and by ``fermion``'s Jordan-Wigner on bare masks.
 
 A string maps |j> to a phase times |j ^ x>, x its X/Y bit mask.  The
 ``StringPlan`` compiled from it once per register size, and kept on the
@@ -133,20 +134,36 @@ class PauliString:
         return self.word()
 
 
-def multiply(a: PauliString, b: PauliString) -> Tuple[complex, PauliString]:
-    """Product a*b as (phase, string) with phase in {1, i, -1, -i}.
+def product_power(ax: int, az: int, bx: int, bz: int) -> int:
+    """The power of i, mod 4, in the product (ax|az)(bx|bz) of two strings.
 
     Per qubit a string is i^{xz} X^x Z^z, and Z^z X^x' = (-1)^{zx'} X^x' Z^z,
-    so the product's power of i is #Y(a) + #Y(b) + 2 #(a.z & b.x) - #Y(ab)
-    mod 4, each # a popcount.
+    so it is #Y(a) + #Y(b) + 2 #(a.z & b.x) - #Y(ab), each # a popcount.
     """
+    return ((ax & az).bit_count() + (bx & bz).bit_count()
+            + 2 * (az & bx).bit_count()
+            - ((ax ^ bx) & (az ^ bz)).bit_count()) & 3
+
+
+def multiply(a: PauliString, b: PauliString) -> Tuple[complex, PauliString]:
+    """Product a*b as (phase, string) with phase in {1, i, -1, -i}."""
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatch(
             f"string sizes differ: {a.n_qubits} vs {b.n_qubits}")
-    x, z = a.x ^ b.x, a.z ^ b.z
-    power = ((a.x & a.z).bit_count() + (b.x & b.z).bit_count()
-             + 2 * (a.z & b.x).bit_count() - (x & z).bit_count())
-    return _I_POWERS[power & 3], PauliString(a.n_qubits, x, z)
+    return (_I_POWERS[product_power(a.x, a.z, b.x, b.z)],
+            PauliString(a.n_qubits, a.x ^ b.x, a.z ^ b.z))
+
+
+def _listing_key(string: PauliString) -> Tuple[int, int]:
+    """Sorts strings as their ``items`` listings sort: one base-4 digit per
+    qubit from qubit 0, X 0, Y 1, Z 2, and 3 for an identity with support
+    after it.  A trailing identity also reads 0, so the support size breaks
+    ties: a listing sorts after its prefixes."""
+    x, z = string.x, string.z
+    support = x | z
+    inner = ((1 << string.n_qubits) - 1 ^ support) & -(support & -support)
+    return (int(f"{x & z | inner:b}", 4) + 2 * int(f"{z & ~x | inner:b}", 4),
+            support.bit_count())
 
 
 class PauliSum:
@@ -241,7 +258,7 @@ class PauliSum:
     def sorted_terms(self) -> list:
         """Terms by (qubit, letter) listing: the frozen rotation order of
         ``ansatz.build_uccgsd`` and the line order of serialized files."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].items)
+        return sorted(self._terms.items(), key=lambda kv: _listing_key(kv[0]))
 
     def __repr__(self) -> str:
         parts = [f"({c:+.6g})*{s}" for s, c in self.sorted_terms()]
@@ -347,7 +364,7 @@ class StringPlan:
     the X/Y bit mask on the n-qubit register, qubit 0 most significant.
     """
 
-    __slots__ = ("flip", "signs", "scalar", "mask")
+    __slots__ = ("flip", "signs", "scalar", "mask", "_trace")
 
     def __init__(self, string: PauliString, n_qubits: int):
         x, z = _register_masks(string, n_qubits)
@@ -359,6 +376,19 @@ class StringPlan:
         self.signs = _sign_vector(n_qubits, z) if z else None
         self.scalar = _I_POWERS[-(x & z).bit_count() & 3]  # (-i)^{#Y}
         self.mask = x
+        self._trace: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def trace_gather(self, n_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(signs, positions) on the plan's ``n_qubits`` register: the int8
+        sign at each row j and j * 2^n + (j ^ mask), where vec(rho) holds
+        rho[j, j ^ mask].  Built on first use."""
+        if self._trace is None:
+            dim = 1 << n_qubits
+            rows = np.arange(dim)
+            self._trace = (np.ones(dim, dtype=np.int8) if self.signs is None
+                           else self.signs.reshape(-1),
+                           rows * dim + (rows ^ self.mask))
+        return self._trace
 
     def _flipped(self, tensor: np.ndarray) -> np.ndarray:
         return tensor[self.flip] if self.flip is not None else tensor

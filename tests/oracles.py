@@ -1,17 +1,18 @@
 """Slow, independent routes that the fast library paths are tested against."""
 
 import math
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
 from qpvqe.ansatz import (_evolve, apply_ansatz, parameter_vector,
                           symmetry_screen, value_and_gradient)
+from qpvqe.fermion import FermionTerm, spin_orbital
 from qpvqe.noise import (_gather_plan, _noise_channels, channel_superoperator,
                          depolarizing_kraus, thermal_relaxation_kraus)
 from qpvqe.observables import ancilla_projector, full_purified_state
 from qpvqe.pauli import (PauliString, PauliSum, _I_POWERS, expectation,
-                         paulisum_action)
+                         multiply, paulisum_action)
 from qpvqe.statevector import (GateOp, StateVector, apply_gate,
                                apply_pauli_exponential, init_basis)
 
@@ -423,6 +424,63 @@ def ed_residuals(h, ref):
         out.append(np.linalg.norm(paulisum_action(h, h.n_qubits, v)
                                   - ref.energies[j] * v))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Jordan-Wigner on PauliString objects: the library route before it moved
+# to (x, z) masks, kept as the reference.  Every generator and fermionic sum
+# the library maps must equal these in term order and coefficient bits.
+# ---------------------------------------------------------------------------
+
+def _ladder_paulisum(mode: int, dagger: bool, n_modes: int) -> PauliSum:
+    bit = 1 << (n_modes - 1 - mode)
+    z_prefix = ((1 << mode) - 1) << (n_modes - mode)   # Z on modes < mode
+    x_string = PauliString(n_modes, bit, z_prefix)
+    y_string = PauliString(n_modes, bit, z_prefix | bit)
+    sign = -1.0j if dagger else 1.0j
+    return PauliSum(n_modes, {x_string: 0.5, y_string: 0.5 * sign})
+
+
+def string_jordan_wigner(term: FermionTerm, n_modes: int) -> PauliSum:
+    """Standard JW image of one fermionic term, expanded and simplified."""
+    for mode, _ in term.ladder:
+        if not 0 <= mode < n_modes:
+            raise ValueError(f"mode {mode} out of range for {n_modes} modes")
+    acc: Dict[PauliString, complex] = {PauliString(n_modes): term.coefficient}
+    for mode, dagger in term.ladder:
+        factor = _ladder_paulisum(mode, dagger, n_modes)
+        nxt: Dict[PauliString, complex] = {}
+        for s_a, c_a in acc.items():
+            for s_b, c_b in factor.items():
+                phase, prod = multiply(s_a, s_b)
+                nxt[prod] = nxt.get(prod, 0.0) + c_a * c_b * phase
+        acc = nxt
+    return PauliSum(n_modes, acc)
+
+
+def string_jordan_wigner_sum(terms: Sequence[FermionTerm],
+                             n_modes: int) -> PauliSum:
+    out = PauliSum(n_modes)
+    for term in terms:
+        out = out + string_jordan_wigner(term, n_modes)
+    return out
+
+
+def generator_terms(kind: str, indices: Tuple[int, ...]):
+    """The fermionic terms G and -G^dag of one excitation generator."""
+    if kind == "single":
+        p, q = indices
+        terms = []
+        for spin in ("a", "b"):
+            hi, lo = spin_orbital(q, spin), spin_orbital(p, spin)
+            terms.append(FermionTerm(1.0, ((hi, True), (lo, False))))
+            terms.append(FermionTerm(-1.0, ((lo, True), (hi, False))))
+        return terms
+    p, q, r, s = indices
+    return [
+        FermionTerm(1.0, ((p, True), (q, True), (r, False), (s, False))),
+        FermionTerm(-1.0, ((s, True), (r, True), (q, False), (p, False))),
+    ]
 
 
 def number_operator(n_modes):

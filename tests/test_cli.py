@@ -32,6 +32,23 @@ class TestEd:
         assert values == sorted(values)
         assert values[0] == pytest.approx(-1.1361894507, abs=1e-9)
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_an_error(self, k, capsys):
+        # Before, -k -1 printed three of the four sector energies, and
+        # -k 0 none, each with exit status 0.
+        code = run_cli(["ed", "--hamiltonian", H2, "--sector", "2,0",
+                        "-k", k])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: k={k} ")
+
+    def test_sector_without_sz_is_an_error(self, capsys):
+        code = run_cli(["ed", "--hamiltonian", H2, "--sector", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "'2'" in captured.err and "N,Sz" in captured.err
+        assert "2,0" in captured.err
+
     def test_error_exit_on_missing_file(self, capsys):
         code, _ = invoke(["ed", "--hamiltonian", "no_such.ham"], capsys)
         assert code == 1

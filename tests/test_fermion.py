@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from qpvqe.fermion import (ExcitationGenerator, FermionTerm,
                            spin_of, spin_orbital)
 from qpvqe.pauli import PauliString, PauliSum, to_matrix
 
-from oracles import number_operator, sz_operator
+from oracles import (generator_terms, number_operator, string_jordan_wigner,
+                     string_jordan_wigner_sum, sz_operator)
 
 
 def dense(term, n):
@@ -139,3 +142,91 @@ class TestEnumeration:
         assert parse_excitation_label("d:0,1,2,3") == ("double", (0, 1, 2, 3))
         with pytest.raises(ValueError):
             parse_excitation_label("x:0")
+
+
+# ---------------------------------------------------------------------------
+# The mask route against the PauliString-object oracle, bit for bit.
+# ---------------------------------------------------------------------------
+
+def bits(h):
+    """Every term in order: its masks and its coefficient's exact bits."""
+    return [(s.x, s.z, c.real.hex(), c.imag.hex()) for s, c in h.items()]
+
+
+def random_terms(rng, n_modes, count, max_len=4):
+    coefficients = (lambda: float(rng.normal()),
+                    lambda: np.float64(rng.normal()),
+                    lambda: complex(rng.normal(), rng.normal()),
+                    lambda: -complex(rng.normal()),  # imaginary part -0.0
+                    lambda: 1e-13 * rng.normal(),    # images pruned whole
+                    lambda: 1.0, lambda: -0.5)
+    terms = []
+    for _ in range(count):
+        # Modes repeat within a ladder, so some images vanish.
+        ladder = tuple((int(rng.integers(n_modes)), bool(rng.integers(2)))
+                       for _ in range(int(rng.integers(max_len + 1))))
+        terms.append(FermionTerm(
+            coefficients[int(rng.integers(len(coefficients)))](), ladder))
+    return terms
+
+
+class TestAgainstObjectOracle:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_every_generator_bit_equal(self, m):
+        for gen in enumerate_sz_excitations(m):
+            oracle = string_jordan_wigner_sum(
+                generator_terms(gen.kind, gen.indices), 2 * m)
+            assert bits(gen.pauli_form) == bits(oracle), gen.label()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sums_bit_equal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 5
+        terms = random_terms(rng, n, 40)
+        # Exact cancellations: some terms come back negated, and some of
+        # those come back again, so strings leave the sum and return.
+        for term in list(terms[:12]):
+            terms.insert(int(rng.integers(len(terms) + 1)),
+                         FermionTerm(-term.coefficient, term.ladder))
+        terms += terms[:6]
+        assert bits(jordan_wigner_sum(terms, n)) == \
+            bits(string_jordan_wigner_sum(terms, n))
+        for term in terms:
+            assert bits(jordan_wigner(term, n)) == \
+                bits(string_jordan_wigner(term, n))
+
+    def test_repeated_mode_vanishes(self):
+        term = FermionTerm(1.0, ((1, True), (1, True)))
+        assert len(jordan_wigner(term, 3)) == 0
+        assert len(string_jordan_wigner(term, 3)) == 0
+
+    def test_returning_string_is_listed_last(self):
+        hop = FermionTerm(1.0, ((0, True), (1, False)))
+        number = FermionTerm(0.5, ((2, True), (2, False)))
+        terms = [hop, number, FermionTerm(-1.0, hop.ladder), hop]
+        got = jordan_wigner_sum(terms, 3)
+        assert bits(got) == bits(string_jordan_wigner_sum(terms, 3))
+        hop_words = [s.word() for s in jordan_wigner(hop, 3).terms()]
+        assert [s.word() for s in got.terms()] == ["I", "Z2"] + hop_words
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_generated_hamiltonian_bit_equal(self, m, monkeypatch):
+        pytest.importorskip("scipy")
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                            "gen_hamiltonians.py")
+        spec = importlib.util.spec_from_file_location("gen_hamiltonians", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        # Random real integrals with the symmetries of molecular ones:
+        # h symmetric, (pq|rs) invariant under p<->q, r<->s and pq<->rs.
+        rng = np.random.default_rng(m)
+        h = rng.normal(size=(m, m))
+        h = h + h.T
+        eri = rng.normal(size=(m, m, m, m))
+        eri = eri + eri.transpose(1, 0, 2, 3)
+        eri = eri + eri.transpose(0, 1, 3, 2)
+        eri = eri + eri.transpose(2, 3, 0, 1)
+        library = gen.qubit_hamiltonian(h, eri, 0.75)
+        monkeypatch.setattr(gen, "jordan_wigner_sum", string_jordan_wigner_sum)
+        assert bits(library) == bits(gen.qubit_hamiltonian(h, eri, 0.75))
+        assert len(library) > 10

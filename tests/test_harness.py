@@ -139,6 +139,14 @@ class TestExactDiagonalize:
         with pytest.raises(ValueError):
             exact_diagonalize(h, sector=(2, 0.0), k=5)
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_k_below_one_rejected(self, k):
+        # k went straight into a slice: -1 dropped the top level, 0 all.
+        h = load_hamiltonian(data_path("hamiltonians", "h2_0.70.ham"))
+        for sector in ((2, 0.0), None):
+            with pytest.raises(ValueError, match=f"k={k}"):
+                exact_diagonalize(h, sector=sector, k=k)
+
     def test_sector_matches_full_diagonalization(self):
         h = load_hamiltonian(data_path("hamiltonians", "h2_0.70.ham"))
         restricted = exact_diagonalize(h, sector=(2, 0.0), k=4)

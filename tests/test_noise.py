@@ -287,6 +287,30 @@ class TestChannels:
         with pytest.raises(DimensionMismatch):
             rho.expectation(PauliSum.identity(n + 1))
 
+    def test_pauli_trace_gathers_are_built_once_per_plan(self):
+        # The sign row and vec(rho) positions live on the plan, so every
+        # state traced with it reuses them; each trace is the per-call
+        # gather's value bit for bit.
+        rng = np.random.default_rng(5)
+        n = 3
+        dim = 1 << n
+        rows = np.arange(dim)
+        h = PauliSum(n, {PauliString.from_word(n, w): float(rng.normal())
+                         for w in ("I", "X0", "Z1 Z2", "Y0 X2", "X0 Y1 Z2")})
+        plans = [plan for _, plan in h.plans(n)]
+        first = [plan.trace_gather(n) for plan in plans]
+        for _ in range(3):
+            rho = DensityMatrix(n, random_mixed_state(rng, n))
+            for plan, gather in zip(plans, first):
+                assert all(a is b for a, b in zip(plan.trace_gather(n), gather))
+                signs = (np.ones(dim, dtype=np.int8) if plan.signs is None
+                         else plan.signs.reshape(-1))
+                inline = np.conj(plan.scalar) * np.dot(
+                    signs, rho.vec.amplitudes[rows * dim + (rows ^ plan.mask)])
+                assert rho.pauli_trace(plan) == inline
+            dense = np.einsum("ij,ji->", kron_matrix(h), rho.matrix)
+            assert rho.expectation(h) == pytest.approx(dense.real, abs=1e-12)
+
     def test_trace_preserved_over_1000_gates(self, manila):
         rho = DensityMatrix(3)
         program = [gate_ry(0, 0.3), gate_cnot(0, 1), gate_x(2),

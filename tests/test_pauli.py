@@ -245,6 +245,33 @@ class TestPauliAction:
         assert np.max(np.abs(out - dense)) < 1e-13
 
 
+class TestSortedTerms:
+    """``sorted_terms`` orders strings by their (qubit, letter) listings."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_string_in_listing_order(self, n):
+        strings = [PauliString(n, x, z) for x in range(1 << n)
+                   for z in range(1 << n)]
+        np.random.default_rng(n).shuffle(strings)
+        h = PauliSum(n, {s: 1.0 for s in strings})
+        assert [s for s, _ in h.sorted_terms()] == sorted(
+            strings, key=lambda s: s.items)
+
+    @pytest.mark.parametrize("n", [12, 33])
+    def test_random_strings_in_listing_order(self, n):
+        rng = np.random.default_rng(n)
+        # Strings of every weight, from the identity to full support.
+        h = PauliSum(n, {random_string(rng, n): 1.0 for _ in range(3000)})
+        assert [s for s, _ in h.sorted_terms()] == sorted(
+            h.terms(), key=lambda s: s.items)
+
+    def test_prefix_sorts_first_and_identity_last_of_letters(self):
+        words = ["Z1", "X0 Z1", "X0", "I", "Y0", "X0 X1", "X1", "X0 Y2"]
+        h = PauliSum(3, {word(3, w): 1.0 for w in words})
+        assert [s.word() for s, _ in h.sorted_terms()] == [
+            "I", "X0", "X0 X1", "X0 Z1", "X0 Y2", "Y0", "X1", "Z1"]
+
+
 class TestPauliSumInvariants:
     def test_prunes_zero_terms(self):
         h = PauliSum(1, {word(1, "X0"): 1e-15})
