@@ -91,12 +91,16 @@ MUTANTS = (
     Mutant("letters-y-z-swapped", "src/qpvqe/pauli.py",
            '"Y": (1, 1), "Z": (0, 1)}', '"Y": (0, 1), "Z": (1, 1)}',
            ("tests/test_pauli.py",)),
-    # Preparation gates.
+    # Preparation gates: one plan on the rows where the controls hold
+    # (GateOp.plan, apply_gate).
     Mutant("ry-negative-angle", "src/qpvqe/statevector.py",
-           "plan.rotate(view, gate.angle)", "plan.rotate(view, -gate.angle)",
+           "plan.rotate(amps, gate.angle)", "plan.rotate(amps, -gate.angle)",
            ("tests/test_statevector.py",)),
-    Mutant("controls-sliced-ascending", "src/qpvqe/statevector.py",
-           "sorted(gate.controls, reverse=True)", "sorted(gate.controls)",
+    Mutant("control-rows-bit-order-reversed", "src/qpvqe/statevector.py",
+           "rows >> (n_qubits - 1 - qubit) & 1", "rows >> qubit & 1",
+           ("tests/test_statevector.py",)),
+    Mutant("control-value-ignored", "src/qpvqe/statevector.py",
+           "& 1) == value]", "& 1) == 1]",
            ("tests/test_statevector.py",)),
     # The noisy ansatz on the reachable rows of vec(rho) (_vec_sector,
     # _compile_vec_sector).

@@ -7,20 +7,20 @@ Trotter step is exact per generator.  String order within a generator is
 frozen lexicographically and generator order follows the input list,
 because Trotterized circuits are ordering-dependent.
 
-Rotations run through compiled ``StringPlan``s (see ``qpvqe.pauli``).  A
-circuit compiles its strings on first use for each register size it is
-applied to and keeps them in ``AnsatzCircuit.plans``; building a circuit
-compiles nothing.  The compiled routes are bit-identical to applying the
-strings one ``apply_pauli_exponential``/``pauli_action`` call at a time.
-So is the optimizer's one evaluation, ``value_and_gradient``, which
-returns the energy with its gradient from one forward pass: at each theta
-a ``symmetry_screen`` gives the rows the initial state can reach, one per
-branch plus the GF(2) span of the flips that act (``RowPlan``s compiled
-once per span); the pass runs on them, skips the rotations that
-contribute exactly zero, and takes every vdot over the full register.
-``apply_ansatz`` runs on the same row machinery with no H: the states of
-one register, stacked on the rows they can reach, evolve in one pass and
-are scattered back into 2^n buffers for the full-register readouts.
+Rotations run through compiled ``RowPlan``s (see ``qpvqe.pauli``) on the
+rows a state can reach, one per branch plus the GF(2) span of the flips
+that act, compiled once per span and kept on the circuit or its screen;
+building a circuit compiles nothing.  The compiled routes are
+bit-identical to applying the strings one
+``apply_pauli_exponential``/``pauli_action`` call at a time.  So is the
+optimizer's one evaluation, ``value_and_gradient``, which returns the
+energy with its gradient from one forward pass: at each theta a
+``symmetry_screen`` gives the rows the initial state can reach; the pass
+runs on them, skips the rotations that contribute exactly zero, and takes
+every vdot over the full register.  ``apply_ansatz`` runs on the same row
+machinery with no H: the states of one register, stacked on the rows they
+can reach, evolve in one pass and are scattered back into 2^n buffers for
+the full-register readouts.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .fermion import ExcitationGenerator
-from .pauli import (PauliString, PauliSum, RowPlan, SectorRows, StringPlan,
-                    flip_mask, gf2_reduce, gf2_span, terms_action)
+from .pauli import (PauliString, PauliSum, RowPlan, SectorRows, flip_mask,
+                    gf2_reduce, gf2_span, terms_action)
 from .statevector import StateVector
 
 ROTATION_COEFF_TOL = 1e-12
@@ -61,10 +61,6 @@ class AnsatzCircuit:
     index: np.ndarray = field(init=False, compare=False, repr=False)
     coefficient: np.ndarray = field(init=False, compare=False, repr=False)
     mask: np.ndarray = field(init=False, compare=False, repr=False)
-    # One StringPlan per rotation (shared by string) by register size,
-    # built on first use by ``plans``.
-    _plans: Dict[int, Tuple[StringPlan, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
     # The Sectors of ``apply_ansatz`` by (register, span, representatives),
     # and those of ``noise.apply_noisy_ansatz`` on vec(rho) by the same key,
     # each map at most SECTOR_CACHE_SIZE (``cached_sector``).
@@ -89,21 +85,6 @@ class AnsatzCircuit:
     def angles(self, theta: np.ndarray) -> List[float]:
         """Rotation angles 2 * theta_k * c in circuit order."""
         return (2.0 * theta[self.index] * self.coefficient).tolist()
-
-    def plans(self, n_qubits: int) -> Tuple[StringPlan, ...]:
-        """The rotations compiled for a ``n_qubits`` register (working
-        qubits first, identity on the rest), in circuit order."""
-        compiled = self._plans.get(n_qubits)
-        if compiled is None:
-            if n_qubits < self.n_working_qubits:
-                raise ValueError("state register smaller than the ansatz")
-            by_string: Dict[PauliString, StringPlan] = {}
-            for rot in self.rotations:
-                if rot.string not in by_string:
-                    by_string[rot.string] = StringPlan(rot.string, n_qubits)
-            compiled = tuple(by_string[rot.string] for rot in self.rotations)
-            self._plans[n_qubits] = compiled
-        return compiled
 
 
 def parameter_vector(values: Sequence[float]) -> np.ndarray:
@@ -141,13 +122,13 @@ def checked_theta(circuit: AnsatzCircuit,
     return theta
 
 
-def _evolve(strings: Sequence[Optional[StringPlan]],
-            angles: Sequence[float], tensor: np.ndarray) -> np.ndarray:
+def _evolve(strings: Sequence[Optional[RowPlan]],
+            angles: Sequence[float], rows: np.ndarray) -> np.ndarray:
     """Rotations in order on a fresh array; zero angles are skipped."""
     for plan, angle in zip(strings, angles):
         if angle != 0.0:
-            tensor = plan.rotate(tensor, angle)
-    return tensor
+            rows = plan.rotate(rows, angle)
+    return rows
 
 
 def apply_ansatz(circuit: AnsatzCircuit, theta: Sequence[float],

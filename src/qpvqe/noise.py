@@ -15,11 +15,11 @@ qubits 0..n-1 index rows and qubits n..2n-1 index columns, so
 vec(U rho U^dag) = (U (x) conj U) vec(rho).  Each operation therefore
 runs twice: on the row qubits and, by the conjugate rule, on the column
 qubits.  The preparation gates (X, RY and their controlled forms) are
-real and run through ``apply_gate`` again on qubits shifted by n, over
-all 4^n entries.  Each calibrated channel is a 4x4 (one qubit) or 16x16
-(pair) superoperator applied as one gather -> matmul -> scatter over an
-index plan of its row and column qubits.  No 2^n x 2^n operator is ever
-built.
+real and run through ``apply_gate`` again on qubits shifted by n, on the
+rows of vec(rho) where the shifted gate's controls hold.  Each calibrated
+channel is a 4x4 (one qubit) or 16x16 (pair) superoperator applied as one
+gather -> matmul -> scatter over an index plan of its row and column
+qubits.  No 2^n x 2^n operator is ever built.
 
 The ansatz runs on the rows of vec(rho) it can reach, not on all 4^n
 entries.  A rotation flips its X mask on the row qubits, and its
@@ -33,9 +33,10 @@ on those rows, the column half compiled from the string's masks on the
 column qubits, and each channel as the gather -> matmul -> scatter of its
 plan's columns that touch a row.  The result is scattered into a zero
 4^n buffer, so the expectations read the full register.  Pauli
-expectations read the strings' compiled ``StringPlan``s: Tr(P rho) is a
-gather of rho[j, j ^ m] along the diagonal flipped by the plan's mask m,
-weighted by its signs and conjugate scalar.
+expectations read the strings' plans on every row of the n-qubit register
+(``PauliSum.plans``): Tr(P rho) is a gather of rho[j, j ^ m] along the
+diagonal flipped by the plan's mask m, weighted by its signs and
+conjugate scalar.
 
 Everything derived from a calibration lives on that calibration object
 and is filled on first use: channel superoperators and gather plans per
@@ -62,8 +63,8 @@ import numpy as np
 from .ansatz import (AnsatzCircuit, branches, cached_sector, checked_theta,
                      sector_rows)
 from .pauli import (DimensionMismatch, PauliString, PauliSum, RowPlan,
-                    SectorRows, StringPlan, _register_masks, flip_mask,
-                    gf2_reduce, gf2_span)
+                    SectorRows, _register_masks, flip_mask, gf2_reduce,
+                    gf2_span)
 from .statevector import GateOp, StateVector, apply_gate
 
 DEFAULT_GATE_TIME_1Q_NS = 35.6
@@ -260,16 +261,21 @@ class DensityMatrix:
             value += coeff * self.pauli_trace(plan)
         return float(value.real)
 
-    def pauli_trace(self, plan: StringPlan) -> complex:
-        """Tr(P rho) for a string compiled for this register.
+    def pauli_trace(self, plan: RowPlan) -> complex:
+        """Tr(P rho) for a string compiled on every row of this register.
 
         P[j ^ m, j] = scalar * sign[j ^ m] = conj(scalar) * sign[j], so
         Tr(P rho) = conj(scalar) * sum_j sign[j] rho[j, j ^ m]: one gather
-        of 2^n entries, whose index the plan keeps (``trace_gather``).
+        of 2^n entries, whose index the plan's rows keep per X mask
+        (``SectorRows.trace_positions``).
         """
-        signs, positions = plan.trace_gather(self.n_qubits)
-        return np.conj(plan.scalar) * np.dot(signs,
-                                             self.vec.amplitudes[positions])
+        sector = plan.sector
+        if (sector.n_qubits != self.n_qubits
+                or sector.rows.size != 1 << self.n_qubits):
+            raise DimensionMismatch("plan compiled for another register")
+        signs = plan.signs if plan.signs is not None else sector.signs(0)
+        return np.conj(plan.scalar) * np.dot(
+            signs, self.vec.amplitudes[sector.trace_positions(plan.mask)])
 
 
 # I, X, Y, Z as 2x2 matrices.

@@ -12,21 +12,21 @@ Phases arising from string products are tracked exactly as powers of i
 read by ``multiply`` and by ``fermion``'s Jordan-Wigner on bare masks.
 
 A string maps |j> to a phase times |j ^ x>, x its X/Y bit mask.  The
-``StringPlan`` compiled from it once per register size, and kept on the
-owning ``PauliSum`` (``plans``) or ansatz circuit, is the only place any
-module reads that action.  Its flip, sign tensor, scalar and mask serve
+``RowPlan`` compiled from it on ``SectorRows``, a sorted set of rows that
+the string maps onto itself, is the only place any module reads that
+action: a gather of the positions of rows ^ x, int8 signs at the rows, a
+scalar and the mask.  On every row of the register (``SectorRows.full``,
+kept per register size on the owning ``PauliSum`` by ``plans``) it serves
 P|psi> and exp(-i phi/2 P)|psi>, the matrices of ``to_matrix`` (the ED
-oracle) and Tr(P rho); the masks' GF(2) span (``gf2_span``) gives the
-rows a state can reach.  Its row form, a ``RowPlan`` on ``SectorRows``,
-runs the same act and rotate on the amplitudes of a set of rows that the
-string maps onto itself (the rows of ``ansatz.SymmetryScreen``).  Plans are
-bit-identical to the uncompiled string route; the comment above
-``StringPlan`` says why that matters.
+oracle) and Tr(P rho); on the rows of ``ansatz.SymmetryScreen`` it runs
+the ansatz, and on the rows where a gate's controls hold, the gate.  The
+masks' GF(2) span (``gf2_span``) gives the rows a state can reach.  Plans
+are bit-identical to the uncompiled string route; the comment above
+``SectorRows`` says why that matters.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -193,9 +193,9 @@ class PauliSum:
                 else:
                     collected[string] = c
         self._terms = collected
-        # (coefficient, StringPlan) pairs in term order, per register
-        # size, built on first use by ``plans``.
-        self._plans: Dict[int, Tuple[Tuple[complex, "StringPlan"], ...]] = {}
+        # (coefficient, RowPlan) pairs in term order on every row of the
+        # register, per register size, built on first use by ``plans``.
+        self._plans: Dict[int, Tuple[Tuple[complex, "RowPlan"], ...]] = {}
 
     @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
@@ -207,11 +207,13 @@ class PauliSum:
     def items(self):
         return self._terms.items()
 
-    def plans(self, n_qubits: int) -> Tuple[Tuple[complex, "StringPlan"], ...]:
-        """The terms compiled for a ``n_qubits`` register, in term order."""
+    def plans(self, n_qubits: int) -> Tuple[Tuple[complex, "RowPlan"], ...]:
+        """The terms compiled on every row of a ``n_qubits`` register, in
+        term order."""
         compiled = self._plans.get(n_qubits)
         if compiled is None:
-            compiled = tuple((coeff, StringPlan(string, n_qubits))
+            rows = SectorRows.full(n_qubits)
+            compiled = tuple((coeff, RowPlan(string, rows))
                              for string, coeff in self._terms.items())
             self._plans[n_qubits] = compiled
         return compiled
@@ -226,12 +228,6 @@ class PauliSum:
         if not isinstance(other, PauliSum):
             return NotImplemented
         return self.n_qubits == other.n_qubits and self._terms == other._terms
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        return add_simplify(self, other)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return add_simplify(self, other * (-1.0))
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
@@ -265,61 +261,33 @@ class PauliSum:
         return f"PauliSum({self.n_qubits}: {' '.join(parts) or '0'})"
 
 
-def add_simplify(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Term-wise sum with like-string collection; zero terms dropped."""
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatch(
-            f"sum sizes differ: {a.n_qubits} vs {b.n_qubits}")
-    acc = a.terms()
-    for string, coeff in b.items():
-        acc[string] = acc.get(string, 0.0) + coeff
-    return PauliSum(a.n_qubits, acc)
-
-
 # ---------------------------------------------------------------------------
 # Action on dense amplitude arrays.
 #
 # A Pauli string maps every basis state to exactly one basis state:
 # P|j (+) x> picks up (-i)^{#Y} * (-1)^{parity(j & z)}, where x and z are
-# the string's masks on the register and #Y = popcount(x & z).  Flipping a
-# size-2 tensor axis is a numpy view, so one string application costs two
-# elementwise passes over 2^n amplitudes.
+# the string's masks on the register and #Y = popcount(x & z).
 #
-# Each string is compiled once per register size into a StringPlan: the
-# slice tuple np.flip would build for the X/Y axes, the +-1 sign tensor
-# cached by Z mask, the scalar (-i)^{#Y} and the X mask m = x, so that
-# P|j> = scalar * sign[j ^ m] * |j ^ m>.  Plans live on the objects
-# they derive from (``PauliSum.plans``, ``AnsatzCircuit.plans``), never in
-# a module cache keyed by object identity.  A plan runs exactly the
-# elementwise operations of the uncompiled route, in the same order and on
-# the same dtypes, so its results are bit-identical to it (up to the sign
-# of an exact zero).  That contract matters.  A rotation at theta = 0
-# whose mask lies outside the span of the flips that act has an exactly
-# zero gradient, and the sweep skips it (``ansatz.symmetry_screen``).
-# Other directions can carry a roundoff-only gradient (the 26 |theta| <=
-# 1e-8 entries of the stored LiH record), which Adam turns into ~1e-10
-# steps: any change of roundoff moves a stored run's theta record.
-#
-# A RowPlan is the same plan on M sorted rows that the string maps onto
-# themselves: its flip gathers the positions of rows ^ m and its signs are
-# the int8 signs at the rows, read off the string's Z mask.  act and
-# rotate then run the same elementwise operations on the (M,) or (..., M)
-# row arrays, so every row holds the bits the full register would.  Only
-# elementwise work may move to rows: BLAS sums a vdot by index position,
-# so reductions must still run over full-length arrays.
+# Each string is compiled into a RowPlan on M sorted rows of a register
+# that the string maps onto themselves: the positions of rows ^ m (its
+# flip), the int8 signs at the rows read off the Z mask, the scalar
+# (-i)^{#Y} and the X mask m = x, so that P|j> = scalar * sign[j ^ m] *
+# |j ^ m>.  The whole register is the case of every row
+# (``SectorRows.full``).  Plans live on the objects they derive from
+# (``PauliSum.plans``, ``GateOp.plan``, the ansatz's sectors), never in a
+# module cache keyed by object identity.  A plan runs exactly the
+# elementwise operations of the uncompiled string route, in the same order
+# and on the same dtypes, so its results are bit-identical to it (up to
+# the sign of an exact zero), and every row holds the bits the whole
+# register would.  That contract matters.  A rotation at theta = 0 whose
+# mask lies outside the span of the flips that act has an exactly zero
+# gradient, and the sweep skips it (``ansatz.symmetry_screen``).  Other
+# directions can carry a roundoff-only gradient (the 26 |theta| <= 1e-8
+# entries of the stored LiH record), which Adam turns into ~1e-10 steps:
+# any change of roundoff moves a stored run's theta record.  Only
+# elementwise work may move to a subset of rows: BLAS sums a vdot by index
+# position, so reductions must still run over full-length arrays.
 # ---------------------------------------------------------------------------
-
-# Sign tensors are shared by plans with equal (register, Z mask); the bound
-# holds all 308 keys of a LiH ``run`` (solve, extraction and ED).
-SIGN_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=SIGN_CACHE_SIZE)
-def _sign_vector(n_qubits: int, z_mask: int) -> np.ndarray:
-    """int8 tensor of (-1)^{parity(j & z_mask)}; +-1 is exact in any dtype."""
-    return _parity_signs(np.arange(1 << n_qubits), z_mask).reshape(
-        (2,) * n_qubits)
-
 
 def _parity_signs(values: np.ndarray, z_mask: int) -> np.ndarray:
     """int8 (-1)^{parity(v & z_mask)} of each integer v in ``values``."""
@@ -351,91 +319,36 @@ def parities(values: np.ndarray, mask: int) -> np.ndarray:
     return out & 1
 
 
-_KEEP = slice(None)
-_REVERSE = slice(None, None, -1)
-
-
-class StringPlan:
-    """One Pauli string compiled for a register of ``n_qubits``.
-
-    Both methods take a (2,)*n tensor, or a stack of them with extra
-    leading axes, and return a fresh C-contiguous array of the same shape.
-    Qubits beyond the string's own register act as identity.  ``mask`` is
-    the X/Y bit mask on the n-qubit register, qubit 0 most significant.
-    """
-
-    __slots__ = ("flip", "signs", "scalar", "mask", "_trace")
-
-    def __init__(self, string: PauliString, n_qubits: int):
-        x, z = _register_masks(string, n_qubits)
-        # np.flip(tensor, X/Y axes) is tensor[flip]; the leading Ellipsis
-        # lets the same tuple address the last n axes of a stacked array.
-        self.flip = ((Ellipsis,) + tuple(
-            _REVERSE if x >> (n_qubits - 1 - q) & 1 else _KEEP
-            for q in range(n_qubits)) if x else None)
-        self.signs = _sign_vector(n_qubits, z) if z else None
-        self.scalar = _I_POWERS[-(x & z).bit_count() & 3]  # (-i)^{#Y}
-        self.mask = x
-        self._trace: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def trace_gather(self, n_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(signs, positions) on the plan's ``n_qubits`` register: the int8
-        sign at each row j and j * 2^n + (j ^ mask), where vec(rho) holds
-        rho[j, j ^ mask].  Built on first use."""
-        if self._trace is None:
-            dim = 1 << n_qubits
-            rows = np.arange(dim)
-            self._trace = (np.ones(dim, dtype=np.int8) if self.signs is None
-                           else self.signs.reshape(-1),
-                           rows * dim + (rows ^ self.mask))
-        return self._trace
-
-    def _flipped(self, tensor: np.ndarray) -> np.ndarray:
-        return tensor[self.flip] if self.flip is not None else tensor
-
-    def act(self, tensor: np.ndarray) -> np.ndarray:
-        """P|psi>."""
-        flipped = self._flipped(tensor)
-        scalar = self.scalar
-        if self.signs is not None:
-            out = self.signs * flipped
-            if scalar != 1.0:
-                out = out * scalar
-            return out
-        return flipped * scalar if scalar != 1.0 else flipped.copy()
-
-    def rotate(self, tensor: np.ndarray, angle: float) -> np.ndarray:
-        """exp(-i angle/2 * P)|psi> = cos(angle/2)|psi> - i sin(angle/2) P|psi>."""
-        flipped = self._flipped(tensor)
-        c = math.cos(angle / 2.0)
-        k = -1j * math.sin(angle / 2.0) * self.scalar
-        if self.signs is not None:
-            return c * tensor + k * (self.signs * flipped)
-        return c * tensor + k * flipped
-
-
 class SectorRows:
     """M sorted rows of a 2^n register, and the row data of the strings
-    compiled on them: one gather per X mask, one int8 sign row per Z mask.
+    compiled on them: one gather per X mask, one int8 sign row per Z mask,
+    and per X mask the positions of rho[j, j ^ m] in vec(rho).
 
     Every string compiled here must map the rows onto themselves.
     """
 
-    __slots__ = ("n_qubits", "rows", "_position", "_gathers", "_signs")
+    __slots__ = ("n_qubits", "rows", "_gathers", "_signs", "_traces")
 
     def __init__(self, n_qubits: int, rows: np.ndarray):
         self.n_qubits = n_qubits
         self.rows = rows
-        self._position = np.full(1 << n_qubits, -1, dtype=np.intp)
-        self._position[rows] = np.arange(rows.size)
         self._gathers: Dict[int, np.ndarray] = {}
         self._signs: Dict[int, np.ndarray] = {}
+        self._traces: Dict[int, np.ndarray] = {}
+
+    @classmethod
+    def full(cls, n_qubits: int) -> "SectorRows":
+        """Every row of a ``n_qubits`` register."""
+        return cls(n_qubits, np.arange(1 << n_qubits))
 
     def gather(self, x_mask: int) -> np.ndarray:
         """Row positions of rows ^ x_mask."""
         gather = self._gathers.get(x_mask)
         if gather is None:
-            gather = self._position[self.rows ^ x_mask]
+            # a 2^n position map for this one compile, kept by no one
+            position = np.full(1 << self.n_qubits, -1, dtype=np.intp)
+            position[self.rows] = np.arange(self.rows.size)
+            gather = position[self.rows ^ x_mask]
             if gather.size and gather.min() < 0:
                 raise ValueError("string maps the rows outside themselves")
             self._gathers[x_mask] = gather
@@ -449,25 +362,59 @@ class SectorRows:
             self._signs[z_mask] = signs
         return signs
 
+    def trace_positions(self, x_mask: int) -> np.ndarray:
+        """j * 2^n + (j ^ x_mask) at each row j: where the row-major
+        vec(rho) holds rho[j, j ^ x_mask]."""
+        positions = self._traces.get(x_mask)
+        if positions is None:
+            positions = self.rows * (1 << self.n_qubits) + (self.rows ^ x_mask)
+            self._traces[x_mask] = positions
+        return positions
 
-class RowPlan(StringPlan):
-    """A StringPlan on ``SectorRows``: act and rotate take (M,) or (..., M)
-    row arrays and return fresh ones, bit for bit the full plan's rows."""
 
-    __slots__ = ()
+class RowPlan:
+    """One Pauli string compiled on ``SectorRows`` that it maps onto
+    themselves.
+
+    ``act`` and ``rotate`` take the amplitudes of those rows as an (M,)
+    array, or a stack of them with extra leading axes, and return a fresh
+    array of the same shape.  Qubits beyond the string's own register act
+    as identity.  ``mask`` is the X/Y bit mask on the register, qubit 0
+    most significant.
+    """
+
+    __slots__ = ("sector", "flip", "signs", "scalar", "mask")
 
     def __init__(self, string: PauliString, sector: SectorRows):
         x, z = _register_masks(string, sector.n_qubits)
+        self.sector = sector
         self.mask = x
         self.flip = sector.gather(x) if x else None
         self.signs = sector.signs(z) if z else None
         self.scalar = _I_POWERS[-(x & z).bit_count() & 3]  # (-i)^{#Y}
 
-    def _flipped(self, tensor: np.ndarray) -> np.ndarray:
-        # take, not tensor[..., flip]: the same values in a C-ordered array,
+    def _flipped(self, rows: np.ndarray) -> np.ndarray:
+        # take, not rows[..., flip]: the same values in a C-ordered array,
         # about four times faster on a (2, 256) pair.
-        return (tensor.take(self.flip, axis=-1) if self.flip is not None
-                else tensor)
+        return rows.take(self.flip, axis=-1) if self.flip is not None else rows
+
+    def act(self, rows: np.ndarray) -> np.ndarray:
+        """P|psi>."""
+        out = self._flipped(rows)
+        if self.signs is not None:
+            out = self.signs * out
+        if self.scalar != 1.0:
+            out = out * self.scalar
+        return out.copy() if out is rows else out
+
+    def rotate(self, rows: np.ndarray, angle: float) -> np.ndarray:
+        """exp(-i angle/2 * P)|psi> = cos(angle/2)|psi> - i sin(angle/2) P|psi>."""
+        flipped = self._flipped(rows)
+        c = math.cos(angle / 2.0)
+        k = -1j * math.sin(angle / 2.0) * self.scalar
+        if self.signs is not None:
+            return c * rows + k * (self.signs * flipped)
+        return c * rows + k * flipped
 
 
 def gf2_span(masks: Iterable[int]) -> Dict[int, int]:
@@ -503,23 +450,21 @@ def pauli_action(string: PauliString, n_qubits: int,
     The string may address fewer qubits than the state; unlisted qubits act
     as identity (this realizes H (x) 1 on purified registers).
     """
-    plan = StringPlan(string, n_qubits)
-    return plan.act(amps.reshape((2,) * n_qubits)).reshape(-1)
+    return RowPlan(string, SectorRows.full(n_qubits)).act(amps)
 
 
 def paulisum_action(h: PauliSum, n_qubits: int, amps: np.ndarray) -> np.ndarray:
     """Return H|psi> as a fresh flat array."""
-    tensor = amps.reshape((2,) * n_qubits)
-    return terms_action(h.plans(n_qubits), tensor).reshape(-1)
+    return terms_action(h.plans(n_qubits), amps)
 
 
-def terms_action(terms: Iterable[Tuple[complex, StringPlan]],
-                 tensor: np.ndarray) -> np.ndarray:
+def terms_action(terms: Iterable[Tuple[complex, RowPlan]],
+                 rows: np.ndarray) -> np.ndarray:
     """sum of coeff * P|psi> over (coeff, plan) pairs, in order, as a
-    fresh array shaped like ``tensor``."""
-    out = np.zeros_like(tensor)
+    fresh array shaped like ``rows``."""
+    out = np.zeros_like(rows)
     for coeff, plan in terms:
-        out += coeff * plan.act(tensor)
+        out += coeff * plan.act(rows)
     return out
 
 
@@ -531,7 +476,7 @@ def expectation(h: PauliSum, psi) -> float:
     Hermitian, psi is not normalized, or the imaginary residue exceeds
     tolerance.
     """
-    return _summed_expectation(h, psi, ((1.0, _checked_tensor(h, psi)),))
+    return _summed_expectation(h, psi, ((1.0, psi.amplitudes),))
 
 
 def product_expectation(h: PauliSum, a: PauliSum, psi) -> float:
@@ -543,28 +488,24 @@ def product_expectation(h: PauliSum, a: PauliSum, psi) -> float:
     A-minor: the order in which ``H * A`` lists its terms, so the value is
     bit-identical to ``expectation`` of the product.
     """
-    tensor = _checked_tensor(h, psi)
     if not a.is_hermitian():
         raise ValueError("expectation requires a Hermitian PauliSum")
     return _summed_expectation(h, psi, tuple(
-        (coeff, plan.act(tensor)) for coeff, plan in a.plans(psi.n_qubits)))
-
-
-def _checked_tensor(h: PauliSum, psi) -> np.ndarray:
-    if not h.is_hermitian():
-        raise ValueError("expectation requires a Hermitian PauliSum")
-    if h.n_qubits > psi.n_qubits:
-        raise DimensionMismatch("operator larger than state register")
-    norm = np.linalg.norm(psi.amplitudes)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    return psi.amplitudes.reshape((2,) * psi.n_qubits)
+        (coeff, plan.act(psi.amplitudes))
+        for coeff, plan in a.plans(psi.n_qubits)))
 
 
 def _summed_expectation(h: PauliSum, psi, branches) -> float:
     """Sum of c_h c_a <psi|P_h|phi_a> over H's terms, then the
-    (c_a, phi_a) branches, with the imaginary residue checked."""
+    (c_a, phi_a) branches, with H, psi and the imaginary residue checked."""
+    if not h.is_hermitian():
+        raise ValueError("expectation requires a Hermitian PauliSum")
+    if h.n_qubits > psi.n_qubits:
+        raise DimensionMismatch("operator larger than state register")
     amps = psi.amplitudes
+    norm = np.linalg.norm(amps)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     value = 0.0 + 0.0j
     for coeff, plan in h.plans(psi.n_qubits):
         for scale, phi in branches:
@@ -606,7 +547,7 @@ def to_matrix(h: PauliSum, basis: Optional[Sequence[int]] = None
         hit = rows >= 0
         targets = targets[hit]
         phase = (plan.scalar if plan.signs is None
-                 else plan.scalar * plan.signs.reshape(-1)[targets])
+                 else plan.scalar * plan.signs[targets])
         out[rows[hit], np.flatnonzero(hit)] += coeff * phase
     return out
 

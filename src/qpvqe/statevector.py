@@ -1,22 +1,23 @@
 """Dense pure-state simulator.
 
 Amplitudes live in a flat complex array of length 2^n with qubit 0 as the
-most significant bit.  Every action runs on a compiled ``StringPlan``: a
-preparation gate is the X plan's ``act`` or the Y plan's ``rotate`` on the
-slice of the (2,)*n view where its controls hold, so a gate costs O(2^n)
-whatever its control count, and a Pauli-string exponential is its
-string's ``rotate``, with no gate decomposition.
+most significant bit.  Every action runs on a compiled ``RowPlan``: a
+preparation gate is the target's X plan ``act`` or Y plan ``rotate`` on
+the rows where its controls hold, which the target's flip maps onto
+themselves, so a gate costs O(2^n) whatever its control count; a
+Pauli-string exponential is its string's ``rotate`` on every row, with no
+gate decomposition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import DimensionMismatch, PauliString, StringPlan
+from .pauli import DimensionMismatch, PauliString, RowPlan, SectorRows
 
 
 class StateVector:
@@ -45,9 +46,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.n_qubits)
-
 
 @dataclass(frozen=True)
 class GateOp:
@@ -58,12 +56,17 @@ class GateOp:
 
     Both are Pauli-string actions on the target: X itself, and
     RY(angle) = exp(-i angle/2 Y), so ``apply_gate`` runs them as the X
-    plan's ``act`` or the Y plan's ``rotate`` on the control slice.
+    plan's ``act`` or the Y plan's ``rotate`` on the rows where the
+    controls hold (``plan``).
     """
 
     target: int
     controls: Tuple[Tuple[int, int], ...] = ()
     angle: Optional[float] = None
+    # The target's plan on the control rows by register size, built on
+    # first use by ``plan``.
+    _plans: Dict[int, RowPlan] = field(default_factory=dict, init=False,
+                                       compare=False, repr=False)
 
     def __post_init__(self):
         operands = self.operands()
@@ -77,6 +80,23 @@ class GateOp:
 
     def operands(self) -> Tuple[int, ...]:
         return (self.target,) + tuple(q for q, _ in self.controls)
+
+    def plan(self, n_qubits: int) -> RowPlan:
+        """The target's X (no angle) or Y string compiled on the rows of a
+        ``n_qubits`` register where every control holds its value."""
+        plan = self._plans.get(n_qubits)
+        if plan is None:
+            for q in self.operands():
+                if not 0 <= q < n_qubits:
+                    raise ValueError(f"qubit {q} out of range for n={n_qubits}")
+            rows = np.arange(1 << n_qubits)
+            for qubit, value in self.controls:
+                rows = rows[(rows >> (n_qubits - 1 - qubit) & 1) == value]
+            string = PauliString.from_map(
+                n_qubits, {self.target: "X" if self.angle is None else "Y"})
+            plan = RowPlan(string, SectorRows(n_qubits, rows))
+            self._plans[n_qubits] = plan
+        return plan
 
     def shifted(self, offset: int) -> "GateOp":
         """The same gate on qubits ``offset`` higher."""
@@ -123,26 +143,13 @@ def init_basis(n_qubits: int, bits: Sequence[int] | str) -> StateVector:
     return state
 
 
-def _check_qubit(state: StateVector, qubit: int):
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for n={state.n_qubits}")
-
-
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply a gate in place."""
-    for q in gate.operands():
-        _check_qubit(state, q)
-    # Restrict to the slice where every control bit matches its value.
-    # Indexing descending control axes keeps lower axes in place.
-    view = state.tensor()
-    for cq, cv in sorted(gate.controls, reverse=True):
-        view = np.moveaxis(view, cq, 0)[cv]
-    axis = gate.target - sum(1 for q, _ in gate.controls if q < gate.target)
-    letter = "X" if gate.angle is None else "Y"
-    plan = StringPlan(PauliString.from_map(view.ndim, {axis: letter}),
-                      view.ndim)
-    view[...] = (plan.act(view) if gate.angle is None
-                 else plan.rotate(view, gate.angle))
+    plan = gate.plan(state.n_qubits)
+    rows = plan.sector.rows
+    amps = state.amplitudes[rows]
+    state.amplitudes[rows] = (plan.act(amps) if gate.angle is None
+                              else plan.rotate(amps, gate.angle))
     return state
 
 
@@ -152,13 +159,13 @@ def apply_pauli_exponential(state: StateVector, string: PauliString,
 
     Equals cos(angle/2) 1 - i sin(angle/2) P on the amplitudes; the string
     addresses qubits of the state directly and must be nontrivial.  This
-    compiles a throwaway ``StringPlan``; repeated rotations should keep
-    their plans (see ``AnsatzCircuit.plans``).
+    compiles a throwaway ``RowPlan`` on every row; repeated rotations
+    should keep their plans (see ``PauliSum.plans``).
     """
     if string is None or string.is_identity:
         raise ValueError("pauli exponential requires a nontrivial string")
-    plan = StringPlan(string, state.n_qubits)
-    state.amplitudes = plan.rotate(state.tensor(), angle).reshape(-1)
+    plan = RowPlan(string, SectorRows.full(state.n_qubits))
+    state.amplitudes = plan.rotate(state.amplitudes, angle)
     return state
 
 

@@ -11,8 +11,8 @@ from qpvqe.fermion import FermionTerm, spin_orbital
 from qpvqe.noise import (_gather_plan, _noise_channels, channel_superoperator,
                          depolarizing_kraus, thermal_relaxation_kraus)
 from qpvqe.observables import ancilla_projector, full_purified_state
-from qpvqe.pauli import (PauliString, PauliSum, _I_POWERS, expectation,
-                         multiply, paulisum_action)
+from qpvqe.pauli import (DimensionMismatch, PauliString, PauliSum, RowPlan,
+                         SectorRows, _I_POWERS, expectation, paulisum_action)
 from qpvqe.statevector import (GateOp, StateVector, apply_gate,
                                apply_pauli_exponential, init_basis)
 
@@ -71,9 +71,10 @@ def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The axis route for preparation gates: swap or mix the two halves of the
 # target axis on the control slice, written out element by element.
-# ``apply_gate`` runs the same gates as StringPlan actions; it must
-# reproduce this route bit for bit on the states preparation programs
-# make, and everywhere but for the sign of a zero.
+# ``apply_gate`` runs the same gates as RowPlan actions on the rows where
+# the controls hold; it must reproduce this route bit for bit on the
+# states preparation programs make, and everywhere but for the sign of a
+# zero.
 # ---------------------------------------------------------------------------
 
 def _flip_axis_inplace(view, axis):
@@ -96,7 +97,7 @@ def axis_gate(state: StateVector, gate: GateOp) -> StateVector:
     for q in gate.operands():
         if not 0 <= q < state.n_qubits:
             raise ValueError(f"qubit {q} out of range for n={state.n_qubits}")
-    view = state.tensor()
+    view = state.amplitudes.reshape((2,) * state.n_qubits)
     for cq, cv in sorted(gate.controls, reverse=True):
         view = np.moveaxis(view, cq, 0)[cv]
     target_axis = gate.target - sum(1 for q, _ in gate.controls
@@ -110,8 +111,9 @@ def axis_gate(state: StateVector, gate: GateOp) -> StateVector:
 
 # ---------------------------------------------------------------------------
 # The string route: every Pauli string derived and applied one call at a
-# time, with float64 sign vectors built by a Kronecker loop.  The compiled
-# StringPlan route must reproduce it bit for bit.
+# time on a (2,)*n view, flipping axes, with float64 sign vectors built by
+# a Kronecker loop.  The compiled RowPlan route must reproduce it bit for
+# bit.
 # ---------------------------------------------------------------------------
 
 def letter_axes(string):
@@ -147,7 +149,7 @@ def string_pauli_action(string, n_qubits, amps):
 
 def string_pauli_exponential(state, string, angle):
     xy, zy, n_y = letter_axes(string)
-    tensor = state.tensor()
+    tensor = state.amplitudes.reshape((2,) * state.n_qubits)
     flipped = np.flip(tensor, axis=xy) if xy else tensor
     c = math.cos(angle / 2.0)
     k = -1j * math.sin(angle / 2.0) * _I_POWERS[(-n_y) & 3]
@@ -205,29 +207,41 @@ def string_value_and_gradient(circuit, theta, h, initial):
     return energy, grad
 
 
+def full_register_plans(strings, n_qubits):
+    """One ``RowPlan`` per string on every row of a ``n_qubits`` register,
+    in order, shared by equal strings."""
+    rows = SectorRows.full(n_qubits)
+    by_string = {}
+    for string in strings:
+        if string not in by_string:
+            by_string[string] = RowPlan(string, rows)
+    return tuple(by_string[string] for string in strings)
+
+
 def full_register_apply_ansatz(circuit, theta, state):
     """U(theta) (x) 1 in place on the whole register: every rotation runs
-    on its full ``StringPlan``.  ``apply_ansatz`` on the reachable rows
-    must reproduce it bit for bit, up to the sign of the exact zeros
-    outside those rows."""
+    on its plan on every row.  ``apply_ansatz`` on the reachable rows must
+    reproduce it bit for bit, up to the sign of the exact zeros outside
+    those rows."""
     theta = parameter_vector(theta)
-    state.amplitudes = _evolve(circuit.plans(state.n_qubits),
-                               circuit.angles(theta),
-                               state.tensor()).reshape(-1)
+    plans = full_register_plans([rot.string for rot in circuit.rotations],
+                                state.n_qubits)
+    state.amplitudes = _evolve(plans, circuit.angles(theta), state.amplitudes)
     return state
 
 
 def full_register_value_and_gradient(circuit, theta, h, initial):
     """The compiled adjoint sweep on the whole register, with no symmetry
-    screen: every rotation runs on its ``StringPlan``, H|psi> comes from
+    screen: every rotation runs on its plan on every row, H|psi> comes from
     ``paulisum_action`` and every vdot is a plain ``np.vdot``.  The
     library's sweep on the sector rows must reproduce it bit for bit."""
     theta = parameter_vector(theta)
     n = initial.n_qubits
-    strings = circuit.plans(n)
+    strings = full_register_plans([rot.string for rot in circuit.rotations],
+                                  n)
     angles = circuit.angles(theta)
-    psi = _evolve(strings, angles, initial.tensor())
-    lam = paulisum_action(h, n, psi.reshape(-1)).reshape(psi.shape)
+    psi = _evolve(strings, angles, initial.amplitudes)
+    lam = paulisum_action(h, n, psi)
     energy = float(np.vdot(psi, lam).real)
     grad = [0.0] * circuit.parameter_count
     pair = np.stack((psi, lam))
@@ -392,27 +406,31 @@ def string_noisy_ansatz(rho, circuit, theta, calib):
 
 
 def full_register_noisy_ansatz(rho, circuit, theta, calib):
-    """The noisy ansatz on the whole of vec(rho): rotation r runs
-    ``circuit.plans(2n)[r]`` on the row qubits, then ``circuit.plans(n)[r]``,
-    whose leading Ellipsis addresses the last n axes, on the column qubits
-    at -(-1)^{#Y} phi; each channel is one gather -> matmul -> scatter over
-    its full ``_gather_plan``.  ``apply_noisy_ansatz`` on the reachable rows
-    must reproduce it bit for bit."""
+    """The noisy ansatz on the whole of vec(rho): rotation r runs its
+    string's plan on every row of the 2n qubits, then the plan of the same
+    letters moved onto the column qubits at -(-1)^{#Y} phi; each channel
+    is one gather -> matmul -> scatter over its full ``_gather_plan``.
+    ``apply_noisy_ansatz`` on the reachable rows must reproduce it bit for
+    bit."""
     theta = parameter_vector(theta)
     n = rho.n_qubits
-    tensor = rho.vec.tensor()
-    for rot, row, column, angle in zip(circuit.rotations, circuit.plans(2 * n),
-                                       circuit.plans(n), circuit.angles(theta)):
+    rows = full_register_plans([rot.string for rot in circuit.rotations],
+                               2 * n)
+    columns = full_register_plans([PauliString.from_map(
+        2 * n, {q + n: letter for q, letter in rot.string.items})
+        for rot in circuit.rotations], 2 * n)
+    amps = rho.vec.amplitudes
+    for rot, row, column, angle in zip(circuit.rotations, rows, columns,
+                                       circuit.angles(theta)):
         if angle == 0.0:
             continue
-        tensor = row.rotate(tensor, angle)
-        tensor = column.rotate(tensor, -(column.scalar ** 2).real * angle)
-        amps = tensor.reshape(-1)
+        amps = row.rotate(amps, angle)
+        amps = column.rotate(amps, -(column.scalar ** 2).real * angle)
         for superop, qubits in _noise_channels(calib, n, rot.string.support(),
                                                False):
             plan = _gather_plan(calib, n, qubits)
             amps[plan] = superop @ amps[plan]
-    rho.vec.amplitudes = tensor.reshape(-1)
+    rho.vec.amplitudes = amps
     return rho
 
 
@@ -430,7 +448,46 @@ def ed_residuals(h, ref):
 # Jordan-Wigner on PauliString objects: the library route before it moved
 # to (x, z) masks, kept as the reference.  Every generator and fermionic sum
 # the library maps must equal these in term order and coefficient bits.
+# Strings multiply letter by letter from the one-qubit table, so the
+# reference shares no phase rule with ``pauli.product_power``.
 # ---------------------------------------------------------------------------
+
+# (a, b) -> (power of i, letter) of the one-qubit product a * b of two
+# distinct letters; a letter times itself or the identity is a letter.
+_LETTER_PRODUCTS = {("X", "Y"): (1, "Z"), ("Y", "X"): (3, "Z"),
+                    ("Y", "Z"): (1, "X"), ("Z", "Y"): (3, "X"),
+                    ("Z", "X"): (1, "Y"), ("X", "Z"): (3, "Y")}
+_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def letter_product(a: PauliString, b: PauliString):
+    """a * b as (phase, string), qubit by qubit from the letter table."""
+    letters_a, letters_b = dict(a.items), dict(b.items)
+    power, letters = 0, {}
+    for q in range(a.n_qubits):
+        la, lb = letters_a.get(q), letters_b.get(q)
+        if la is None or lb is None:
+            letter = la or lb
+        elif la == lb:
+            letter = None
+        else:
+            step, letter = _LETTER_PRODUCTS[(la, lb)]
+            power += step
+        if letter is not None:
+            letters[q] = letter
+    return _PHASES[power % 4], PauliString.from_map(a.n_qubits, letters)
+
+
+def add_simplify(a: PauliSum, b: PauliSum) -> PauliSum:
+    """Term-wise sum with like-string collection; zero terms dropped."""
+    if a.n_qubits != b.n_qubits:
+        raise DimensionMismatch(
+            f"sum sizes differ: {a.n_qubits} vs {b.n_qubits}")
+    acc = a.terms()
+    for string, coeff in b.items():
+        acc[string] = acc.get(string, 0.0) + coeff
+    return PauliSum(a.n_qubits, acc)
+
 
 def _ladder_paulisum(mode: int, dagger: bool, n_modes: int) -> PauliSum:
     bit = 1 << (n_modes - 1 - mode)
@@ -452,7 +509,7 @@ def string_jordan_wigner(term: FermionTerm, n_modes: int) -> PauliSum:
         nxt: Dict[PauliString, complex] = {}
         for s_a, c_a in acc.items():
             for s_b, c_b in factor.items():
-                phase, prod = multiply(s_a, s_b)
+                phase, prod = letter_product(s_a, s_b)
                 nxt[prod] = nxt.get(prod, 0.0) + c_a * c_b * phase
         acc = nxt
     return PauliSum(n_modes, acc)
@@ -462,7 +519,7 @@ def string_jordan_wigner_sum(terms: Sequence[FermionTerm],
                              n_modes: int) -> PauliSum:
     out = PauliSum(n_modes)
     for term in terms:
-        out = out + string_jordan_wigner(term, n_modes)
+        out = add_simplify(out, string_jordan_wigner(term, n_modes))
     return out
 
 

@@ -288,9 +288,10 @@ class TestChannels:
             rho.expectation(PauliSum.identity(n + 1))
 
     def test_pauli_trace_gathers_are_built_once_per_plan(self):
-        # The sign row and vec(rho) positions live on the plan, so every
-        # state traced with it reuses them; each trace is the per-call
-        # gather's value bit for bit.
+        # The sign rows and vec(rho) positions live on the rows the plans
+        # share, one per Z and X mask, so every state traced with a plan
+        # reuses them; each trace is the per-call gather's value bit for
+        # bit.
         rng = np.random.default_rng(5)
         n = 3
         dim = 1 << n
@@ -298,18 +299,37 @@ class TestChannels:
         h = PauliSum(n, {PauliString.from_word(n, w): float(rng.normal())
                          for w in ("I", "X0", "Z1 Z2", "Y0 X2", "X0 Y1 Z2")})
         plans = [plan for _, plan in h.plans(n)]
-        first = [plan.trace_gather(n) for plan in plans]
+        sector = plans[0].sector
+        assert all(plan.sector is sector for plan in plans)
+        first = [sector.trace_positions(plan.mask) for plan in plans]
         for _ in range(3):
             rho = DensityMatrix(n, random_mixed_state(rng, n))
-            for plan, gather in zip(plans, first):
-                assert all(a is b for a, b in zip(plan.trace_gather(n), gather))
+            for plan, positions in zip(plans, first):
+                assert sector.trace_positions(plan.mask) is positions
                 signs = (np.ones(dim, dtype=np.int8) if plan.signs is None
-                         else plan.signs.reshape(-1))
+                         else plan.signs)
                 inline = np.conj(plan.scalar) * np.dot(
                     signs, rho.vec.amplitudes[rows * dim + (rows ^ plan.mask)])
                 assert rho.pauli_trace(plan) == inline
+            assert sorted(sector._traces) == sorted({p.mask for p in plans})
             dense = np.einsum("ij,ji->", kron_matrix(h), rho.matrix)
             assert rho.expectation(h) == pytest.approx(dense.real, abs=1e-12)
+
+    def test_pauli_trace_refuses_a_plan_of_another_register(self):
+        # The one-qubit X0 would read Tr((I (x) X) rho) off a two-qubit
+        # rho, and a three-qubit plan would index past vec(rho).
+        rng = np.random.default_rng(6)
+        rho = DensityMatrix(2, random_mixed_state(rng, 2))
+        for n in (1, 3):
+            (_, plan), = PauliSum(n, {PauliString.from_word(n, "X0"): 1.0}
+                                  ).plans(n)
+            with pytest.raises(DimensionMismatch):
+                rho.pauli_trace(plan)
+        (_, plan), = PauliSum(1, {PauliString.from_word(1, "X0"): 1.0}
+                              ).plans(2)
+        dense = np.einsum("ij,ji->", kron_matrix(PauliSum(
+            2, {PauliString.from_word(2, "X0"): 1.0})), rho.matrix)
+        assert rho.pauli_trace(plan) == pytest.approx(dense, abs=1e-14)
 
     def test_trace_preserved_over_1000_gates(self, manila):
         rho = DensityMatrix(3)

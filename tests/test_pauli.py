@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpvqe.harness import load_hamiltonian, sector_indices
-from qpvqe.pauli import (DimensionMismatch, PauliString, PauliSum, StringPlan,
-                         add_simplify, expectation, matrix_diagonal, multiply,
+from qpvqe.pauli import (DimensionMismatch, PauliString, PauliSum, RowPlan,
+                         SectorRows, expectation, matrix_diagonal, multiply,
                          pauli_action, to_matrix)
 from qpvqe.statevector import StateVector, init_basis
 
 from conftest import data_path
-from oracles import kron_matrix
+from oracles import add_simplify, kron_matrix
 
 
 def word(n, w):
@@ -204,10 +204,10 @@ class TestCompiledForm:
     def test_mask_is_where_act_sends_each_basis_state(self, h, extra):
         n = h.n_qubits + extra
         dim = 1 << n
-        states = np.eye(dim, dtype=complex).reshape((dim,) + (2,) * n)
+        states = np.eye(dim, dtype=complex)
         for string, _ in h.items():
-            plan = StringPlan(string, n)
-            images = plan.act(states).reshape(dim, dim)
+            plan = RowPlan(string, SectorRows.full(n))
+            images = plan.act(states)
             assert np.all(np.count_nonzero(images, axis=1) == 1)
             targets = np.argmax(np.abs(images), axis=1)
             assert np.all(targets ^ np.arange(dim) == plan.mask)

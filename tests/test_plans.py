@@ -3,7 +3,8 @@
 The plan route must reproduce the one-string-at-a-time route exactly
 (``tobytes`` equality), because roundoff-sized gradients in
 symmetry-forbidden directions feed Adam and show up in stored theta
-records.
+records.  Every plan is a ``RowPlan``; on the whole register its rows are
+all 2^n indices.
 """
 
 import gc
@@ -12,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import data_path
 from oracles import (kron_sign_vector, string_apply_ansatz, string_expectation,
                      string_pauli_action, string_pauli_exponential,
                      string_paulisum_action, string_value_and_gradient)
@@ -19,14 +21,13 @@ from qpvqe.ansatz import (AnsatzCircuit, Rotation, apply_ansatz, build_uccgsd,
                           symmetry_screen, value_and_gradient)
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import exact_diagonalize, load_hamiltonian
-from qpvqe.pauli import (DENSE_BYTES_GUARD, SIGN_CACHE_SIZE, PauliString,
-                         PauliSum, RowPlan, SectorRows, StringPlan,
-                         _sign_vector,
-                         check_dense_bytes, expectation,
+from qpvqe.pauli import (DENSE_BYTES_GUARD, PauliString, PauliSum, RowPlan,
+                         SectorRows, check_dense_bytes, expectation,
                          pauli_action, paulisum_action, to_matrix)
 from qpvqe.state_prep import (build_purified_prep, default_weights,
                               select_reference_determinants)
-from qpvqe.statevector import StateVector, apply_pauli_exponential, init_basis
+from qpvqe.statevector import (StateVector, apply_pauli_exponential,
+                               gate_controlled_ry, init_basis)
 
 H2_HAMS = ("data/hamiltonians/h2_0.70.ham", "data/hamiltonians/h2_2.00.ham")
 
@@ -73,26 +74,9 @@ def m2_circuit():
 class TestSignVector:
     @pytest.mark.parametrize("axes", [(0,), (1, 3), (0, 2, 4), (4,)])
     def test_int8_matches_kron(self, axes):
-        vec = _sign_vector(5, z_mask(5, axes))
+        vec = SectorRows.full(5).signs(z_mask(5, axes))
         assert vec.dtype == np.int8
-        assert np.array_equal(vec, kron_sign_vector(5, axes))
-
-    def test_cache_stays_bounded_over_fresh_operators(self):
-        # Alternate operators on 10-12 qubits whose Z/Y axes are all
-        # distinct, more of them than the cache holds: it never grows past
-        # its bound, and every plan's signs equal a fresh, uncached build.
-        rng = np.random.default_rng(5)
-        fresh = _sign_vector.__wrapped__
-        for count in range(SIGN_CACHE_SIZE + 200):
-            n = 10 + count % 3
-            axes = tuple(int(q) for q in np.flatnonzero(rng.random(n) < 0.5))
-            string = PauliString.from_map(n, {q: "ZY"[q % 2] for q in axes})
-            if string.is_identity:
-                continue
-            plan = StringPlan(string, n)
-            assert plan.signs.tobytes() == fresh(n, z_mask(n, axes)).tobytes()
-            assert _sign_vector.cache_info().currsize <= SIGN_CACHE_SIZE
-        assert _sign_vector.cache_info().currsize == SIGN_CACHE_SIZE
+        assert np.array_equal(vec, kron_sign_vector(5, axes).reshape(-1))
 
 
 class TestStringKernels:
@@ -132,25 +116,54 @@ class TestStringKernels:
             assert same_bits(expectation(h, psi), string_expectation(h, psi))
 
 
+class TestFullRegisterPlans:
+    """Every term of H4 and LiH compiled on every row of its register and
+    of one qubit more, against the string route, on flat (2^n,) states and
+    a stacked (3, 2^n) batch."""
+
+    @pytest.mark.parametrize("name", ["h4_0.90.ham", "lih_1.60.ham"])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_every_term_bit_identical(self, name, extra):
+        h = load_hamiltonian(data_path("hamiltonians", name))
+        n = h.n_qubits + extra
+        rng = np.random.default_rng(15 + extra)
+        states = [random_state(rng, n) for _ in range(3)]
+        batch = np.stack([state.amplitudes for state in states])
+        angle = float(rng.uniform(-3.0, 3.0))
+        for (coeff, plan), (string, _) in zip(h.plans(n), h.items()):
+            acted = [string_pauli_action(string, n, state.amplitudes)
+                     for state in states]
+            rotated = [string_pauli_exponential(state.copy(), string,
+                                                angle).amplitudes
+                       for state in states]
+            assert same_bits(plan.act(batch[0]), acted[0])
+            assert same_bits(plan.act(batch), np.stack(acted))
+            assert same_bits(plan.rotate(batch[1], angle), rotated[1])
+            assert same_bits(plan.rotate(batch, angle), np.stack(rotated))
+        assert len({id(plan.sector) for _, plan in h.plans(n)}) == 1
+
+
 class TestRowPlans:
     def test_row_plan_matches_full_plan_on_its_rows(self):
-        # rows closed under the string's flip: a random set and its image
+        # rows closed under the string's flip: a random set and its image;
+        # each row holds the whole register's bits
         rng = np.random.default_rng(14)
         for _ in range(60):
             n_string = int(rng.integers(1, 5))
             n = n_string + int(rng.integers(0, 3))
             string = random_string(rng, n_string)
-            full = StringPlan(string, n)
+            mask = string.x << (n - n_string)
             seed_rows = rng.choice(1 << n, size=int(rng.integers(1, 1 << n)))
-            rows = np.union1d(seed_rows, seed_rows ^ full.mask)
+            rows = np.union1d(seed_rows, seed_rows ^ mask)
             plan = RowPlan(string, SectorRows(n, rows))
-            pair = np.stack([random_state(rng, n).tensor() for _ in range(2)])
-            flat = pair.reshape(2, -1)
+            states = [random_state(rng, n) for _ in range(2)]
+            flat = np.stack([state.amplitudes for state in states])
             angle = float(rng.uniform(-3.0, 3.0))
             assert same_bits(plan.act(flat[0][rows]),
-                             full.act(pair[0]).reshape(-1)[rows])
-            assert same_bits(plan.rotate(flat[:, rows], angle),
-                             full.rotate(pair, angle).reshape(2, -1)[:, rows])
+                             string_pauli_action(string, n, flat[0])[rows])
+            assert same_bits(plan.rotate(flat[:, rows], angle), np.stack([
+                string_pauli_exponential(state, string, angle).amplitudes[rows]
+                for state in states]))
 
     def test_rows_a_string_leaves_are_refused(self):
         string = PauliString.from_word(2, "X0")
@@ -229,20 +242,29 @@ class TestCircuitPlans:
         assert same_bits(initial.amplitudes, init_basis(4, "1010").amplitudes)
 
     def test_plans_built_lazily(self):
-        circuit = build_uccgsd(enumerate_sz_excitations(2))
-        assert circuit._plans == {}
         h = load_hamiltonian(H2_HAMS[0])
         assert h._plans == {}
-        circuit.plans(6)
-        assert list(circuit._plans) == [6]
+        h.plans(6)
+        assert list(h._plans) == [6]
         with pytest.raises(ValueError):
-            circuit.plans(3)
+            h.plans(3)
+        assert list(h._plans) == [6]
 
     def test_plans_do_not_change_identity(self, m2_circuit):
+        # Compiled rows live beside the compared fields: on the circuit
+        # (its sectors) and on a gate (its plan per register).
         again = build_uccgsd(enumerate_sz_excitations(2))
-        m2_circuit.plans(4)
+        apply_ansatz(m2_circuit, np.ones(m2_circuit.parameter_count),
+                     init_basis(4, "1100"))
+        assert m2_circuit._sectors and not again._sectors
         assert again == m2_circuit and hash(again) == hash(m2_circuit)
-        assert "_plans" not in repr(again)
+        assert "_sectors" not in repr(m2_circuit)
+        gate = gate_controlled_ry(((0, 1), (2, 0)), 1, 0.3)
+        gate.plan(4)
+        fresh = gate_controlled_ry(((0, 1), (2, 0)), 1, 0.3)
+        assert list(gate._plans) == [4] and fresh._plans == {}
+        assert gate == fresh and hash(gate) == hash(fresh)
+        assert "_plans" not in repr(gate)
 
 
 class TestSweepStyle:
@@ -258,16 +280,16 @@ class TestSweepStyle:
         for step in range(6):
             circuit = build_uccgsd(enumerate_sz_excitations(2))
             h = load_hamiltonian(H2_HAMS[step % 2])
-            assert circuit._plans == {} and h._plans == {}
+            assert circuit._sectors == {} and h._plans == {}
             theta = theta_with_zeros(rng, circuit.parameter_count)
             ours = value_and_gradient(circuit, theta, h, initial,
                                       symmetry_screen(circuit, h, initial))
             theirs = string_value_and_gradient(circuit, theta, h, initial)
             assert same_bits(ours[0], theirs[0])
             assert same_bits(ours[1], theirs[1])
-            plan = circuit.plans(initial.n_qubits)
-            assert all(plan is not old for old in seen)
-            seen.append(plan)
+            plans = h.plans(initial.n_qubits)
+            assert all(plans is not old for old in seen)
+            seen.append(plans)
             del circuit, h
             gc.collect()
 
