@@ -37,17 +37,18 @@ class Mutant(NamedTuple):
 SCREEN_TESTS = ("tests/test_screen.py",)
 ROW_TESTS = ("tests/test_rows.py",)
 NOISY_ROW_TESTS = ("tests/test_noisy_rows.py",)
+READOUT_ROW_TESTS = ("tests/test_readout_rows.py",)
 
 MUTANTS = (
     # The symmetry screen (ansatz.symmetry_screen, SymmetryScreen.sector,
-    # _compile_sector).
+    # _compile_sector, pauli.sector_rows).
     Mutant("screen-premise-dropped", "src/qpvqe/ansatz.py",
            "gf2_span(h_masks + premise)", "gf2_span(h_masks)", SCREEN_TESTS),
     Mutant("screen-skips-against-h-span", "src/qpvqe/ansatz.py",
-           "flip_mask(rot.string, screen.n_qubits), span)",
-           "flip_mask(rot.string, screen.n_qubits), screen.flips)",
+           "gf2_reduce(circuit.mask << shift, span)",
+           "gf2_reduce(circuit.mask << shift, screen.flips)",
            SCREEN_TESTS),
-    Mutant("screen-row-doubling-short", "src/qpvqe/ansatz.py",
+    Mutant("screen-row-doubling-short", "src/qpvqe/pauli.py",
            "for row in span.values():",
            "for row in list(span.values())[1:]:", SCREEN_TESTS),
     Mutant("screen-positive-theta-active", "src/qpvqe/ansatz.py",
@@ -63,6 +64,16 @@ MUTANTS = (
     Mutant("vdot-on-compressed-rows", "src/qpvqe/ansatz.py",
            "return np.vdot(bra, ket)", "return np.vdot(a, b)",
            SCREEN_TESTS),
+    # Readouts on the rows their states reach (pauli.expectations,
+    # _readout_rows).
+    Mutant("readout-rows-without-operator-flips", "src/qpvqe/pauli.py",
+           "gf2_span(chain(h_masks, a_masks, premise))",
+           "gf2_span(chain(h_masks, premise))", READOUT_ROW_TESTS),
+    Mutant("readout-vdot-on-compressed-rows", "src/qpvqe/pauli.py",
+           "dots = list(map(np.vdot, bras, ket_rows))",
+           "dots = [np.vdot(bra[rows], ket[rows])\n"
+           "                for bra, ket in zip(bras, ket_rows)]",
+           READOUT_ROW_TESTS),
     # The Adam step after a backtrack must use the accepted attempt's
     # gradient; LiH backtracks in 32 of its 203 iterations.
     Mutant("backtrack-keeps-proposal-gradient", "src/qpvqe/driver.py",
@@ -107,8 +118,8 @@ MUTANTS = (
     Mutant("vec-span-paired-flips-dropped", "src/qpvqe/noise.py",
            "flips.update(paired)", "flips.update(())", NOISY_ROW_TESTS),
     Mutant("vec-column-half-on-row-masks", "src/qpvqe/noise.py",
-           "PauliString(2 * n, *_register_masks(rot.string, n))",
-           "PauliString(2 * n, *_register_masks(rot.string, 2 * n))",
+           "PauliString(2 * n, *_register_masks(string, n))",
+           "PauliString(2 * n, *_register_masks(string, 2 * n))",
            NOISY_ROW_TESTS),
     # Calibration records: pair 1,0 is pair 0,1.
     Mutant("pair-key-unnormalized", "src/qpvqe/noise.py",

@@ -19,8 +19,8 @@ energy with its gradient from one forward pass: at each theta a
 runs on them, skips the rotations that contribute exactly zero, and takes
 every vdot over the full register.  ``apply_ansatz`` runs on the same row
 machinery with no H: the states of one register, stacked on the rows they
-can reach, evolve in one pass and are scattered back into 2^n buffers for
-the full-register readouts.
+can reach, evolve in one pass and are scattered back into 2^n buffers,
+which the readouts (``pauli.expectations``) stack on their own rows.
 """
 
 from __future__ import annotations
@@ -32,14 +32,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .fermion import ExcitationGenerator
-from .pauli import (PauliString, PauliSum, RowPlan, SectorRows, flip_mask,
-                    gf2_reduce, gf2_span, terms_action)
+from .pauli import (PauliString, PauliSum, RowPlan, SectorRows, branches,
+                    cached_sector, compile_terms, flip_mask, gf2_reduce,
+                    gf2_span, sector_rows, terms_action)
 from .statevector import StateVector
 
 ROTATION_COEFF_TOL = 1e-12
-# Sectors ``apply_ansatz`` keeps per circuit; a LiH command needs one per
-# register (the pair states, the K-way state and the eigenpairs).
-SECTOR_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -57,13 +55,14 @@ class AnsatzCircuit:
     rotations: Tuple[Rotation, ...]
     parameter_count: int
     # Each rotation's parameter index and coefficient, read by ``angles``,
-    # and its X mask on the working register.
+    # and its X and Z masks on the working register.
     index: np.ndarray = field(init=False, compare=False, repr=False)
     coefficient: np.ndarray = field(init=False, compare=False, repr=False)
     mask: np.ndarray = field(init=False, compare=False, repr=False)
+    z_mask: np.ndarray = field(init=False, compare=False, repr=False)
     # The Sectors of ``apply_ansatz`` by (register, span, representatives),
     # and those of ``noise.apply_noisy_ansatz`` on vec(rho) by the same key,
-    # each map at most SECTOR_CACHE_SIZE (``cached_sector``).
+    # each map at most ``pauli.SECTOR_CACHE_SIZE`` (``cached_sector``).
     _sectors: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], "Sector"] = \
         field(default_factory=dict, init=False, compare=False, repr=False)
     _vec_sectors: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], object] \
@@ -81,6 +80,8 @@ class AnsatzCircuit:
             [rot.coefficient for rot in self.rotations], dtype=float))
         object.__setattr__(self, "mask", np.array(
             [rot.string.x for rot in self.rotations], dtype=np.int64))
+        object.__setattr__(self, "z_mask", np.array(
+            [rot.string.z for rot in self.rotations], dtype=np.int64))
 
     def angles(self, theta: np.ndarray) -> List[float]:
         """Rotation angles 2 * theta_k * c in circuit order."""
@@ -189,18 +190,6 @@ def _batch_sector(circuit: AnsatzCircuit, angles: Sequence[float],
             representatives), span))
 
 
-def cached_sector(sectors: Dict, key, compile: Callable[[], object]):
-    """``sectors[key]``, compiled on first use.  A map holds at most
-    SECTOR_CACHE_SIZE sectors; the oldest is dropped first."""
-    sector = sectors.get(key)
-    if sector is None:
-        sector = compile()
-        if len(sectors) >= SECTOR_CACHE_SIZE:
-            del sectors[next(iter(sectors))]
-        sectors[key] = sector
-    return sector
-
-
 @dataclass(frozen=True, eq=False)
 class Sector:
     """The rows of one span, with the circuit and H compiled on them
@@ -264,33 +253,35 @@ class SymmetryScreen:
 
 def _compile_sector(screen: SymmetryScreen, span: Dict[int, int]) -> Sector:
     """The rows of ``span`` (a ``gf2_span``) and the circuit and H compiled
-    on them."""
+    on them, in array passes: one reduction of every rotation mask
+    against the span, then one ``SectorRows.prepare`` of the masks that
+    run."""
     rows = SectorRows(screen.n_qubits,
                       sector_rows(screen.representatives, span))
-
     circuit = screen.circuit
-    by_string: Dict[PauliString, Optional[RowPlan]] = {}
-    for rot in circuit.rotations:
-        if rot.string not in by_string:
-            outside = gf2_reduce(flip_mask(rot.string, screen.n_qubits), span)
-            by_string[rot.string] = (None if outside
-                                     else RowPlan(rot.string, rows))
-    strings = tuple(by_string[rot.string] for rot in circuit.rotations)
-    terms = () if screen.h is None else tuple(
-        (coeff, RowPlan(string, rows)) for string, coeff in screen.h.items())
+    shift = screen.n_qubits - circuit.n_working_qubits
+    inside = gf2_reduce(circuit.mask << shift, span) == 0
+    rows.prepare((circuit.mask[inside] << shift).tolist(),
+                 (circuit.z_mask[inside] << shift).tolist())
+    strings = rotation_plans(circuit, inside,
+                             lambda string: RowPlan(string, rows))
+    terms = () if screen.h is None else compile_terms(screen.h, rows)
     return Sector(rows.rows, strings, terms,
                   [r for r in range(len(strings) - 1, -1, -1)
                    if strings[r] is not None])
 
 
-def sector_rows(representatives: Sequence[int],
-                span: Dict[int, int]) -> np.ndarray:
-    """The sorted rows of the representatives plus ``span`` (a
-    ``gf2_span`` with no element that tells two representatives apart)."""
-    rows = np.array(representatives, dtype=np.intp)
-    for row in span.values():
-        rows = np.concatenate((rows, rows ^ row))
-    return np.sort(rows)
+def rotation_plans(circuit: AnsatzCircuit, inside: np.ndarray,
+                   build: Callable[[PauliString], object]) -> tuple:
+    """Per rotation, ``build(string)`` where ``inside`` holds, one object
+    per distinct string, and None where it does not."""
+    built: Dict[PauliString, object] = {}
+    plans = []
+    for rot, runs in zip(circuit.rotations, inside.tolist()):
+        if runs and rot.string not in built:
+            built[rot.string] = build(rot.string)
+        plans.append(built[rot.string] if runs else None)
+    return tuple(plans)
 
 
 def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
@@ -318,17 +309,6 @@ def symmetry_screen(circuit: AnsatzCircuit, h: PauliSum,
         by_parameter[rot.parameter_index].add(mask)
     return SymmetryScreen(circuit, h, n, gf2_span(h_masks + premise),
                           tuple(map(tuple, by_parameter)), representatives)
-
-
-def branches(occupied: np.ndarray, kept: int
-             ) -> Tuple[Tuple[int, ...], List[int]]:
-    """One representative per branch, the first of the ``occupied``
-    indices that share its bits under ``kept`` (the label), and the
-    premise flips: each index XOR its branch's representative."""
-    representatives: Dict[int, int] = {}
-    premise = [j ^ representatives.setdefault(j & kept, j)
-               for j in occupied.tolist()]
-    return tuple(representatives.values()), premise
 
 
 def _full_length_vdot(rows: np.ndarray, dim: int):

@@ -232,15 +232,18 @@ def cmd_gaps(args) -> int:
                        if args.projector else set())
     print("i,j,gap_ha")
     pair_states = prepare_pair(circuit, theta, refs, pairs)
-    purified = (full_purified_state(circuit, theta, refs)
-                if projector_pairs else None)
-    for pair in pair_states:
+    gaps = energy_gap(pair_states, h)
+    projector_gaps = {}
+    if projector_pairs:
+        projected = sorted(projector_pairs)
+        projector_gaps = dict(zip(projected, gap_from_full_purified(
+            circuit, theta, refs, h, projected,
+            full_purified_state(circuit, theta, refs))))
+    for pair, gap in zip(pair_states, gaps):
         i, j = pair.i, pair.j
-        print(f"{i},{j},{energy_gap(pair, h):.12g}")
-        if (i, j) in projector_pairs:
-            gap_p = gap_from_full_purified(circuit, theta, refs, h, (i, j),
-                                           purified)
-            print(f"{i},{j},{gap_p:.12g} # projector")
+        print(f"{i},{j},{gap:.12g}")
+        if (i, j) in projector_gaps:
+            print(f"{i},{j},{projector_gaps[i, j]:.12g} # projector")
     return 0
 
 
@@ -251,8 +254,8 @@ def cmd_amplitudes(args) -> int:
         raise ValueError(f"{args.observable} acts on {obs.n_qubits} qubits "
                          f"but {args.result} was run on {h.n_qubits}")
     print("i,j,re,im")
-    for pair in prepare_pair(circuit, theta, refs, pairs):
-        amp = transition_amplitude(pair, obs)
+    pair_states = prepare_pair(circuit, theta, refs, pairs)
+    for pair, amp in zip(pair_states, transition_amplitude(pair_states, obs)):
         print(f"{pair.i},{pair.j},{amp.real:.12g},{amp.imag:.12g}")
     return 0
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ansatz import (AnsatzCircuit, SymmetryScreen, apply_ansatz,
                      symmetry_screen, value_and_gradient)
-from .pauli import PauliSum, expectation
+from .pauli import PauliSum, expectation, expectations
 from .state_prep import PurifiedPrep, ReferenceSet, WeightVector
 from .statevector import StateVector, init_basis
 
@@ -106,10 +106,11 @@ class SpectrumResult:
 
 def ensemble_energy(h: PauliSum, circuit: AnsatzCircuit, prep: PurifiedPrep,
                     theta: Sequence[float]) -> float:
-    """<Phi(w)| [U^dag H U] (x) 1 |Phi(w)> via one expectation on the full
-    register, independent of the optimizer's screened forward pass: U runs
-    on the rows the state reaches with no H, and the expectation on the
-    whole register."""
+    """<Phi(w)| [U^dag H U] (x) 1 |Phi(w)> via one expectation of the
+    evolved purified state, independent of the optimizer's screened forward
+    pass: U runs on the rows the state reaches with no H, and H on the
+    rows H reaches from the state's support, each vdot over the full
+    register."""
     return expectation(h, apply_ansatz(circuit, theta, prep.prepare()))
 
 
@@ -235,14 +236,15 @@ def extract_eigenpairs(circuit: AnsatzCircuit, theta_star: Sequence[float],
                        refs: ReferenceSet, h: PauliSum
                        ) -> Tuple[np.ndarray, List[StateVector]]:
     """K working-register evolutions U(theta*)|D_j>, in one
-    ``apply_ansatz`` call, and their energies.
+    ``apply_ansatz`` call, and their energies, in one ``expectations``
+    call on the rows the K states reach.
 
     Energies are reported in weight order without silent re-sorting; a
     converged run is weakly ascending because the weights force it.
     """
     states = apply_ansatz(circuit, theta_star, [
         init_basis(len(det), det) for det in refs.determinants])
-    return np.array([expectation(h, state) for state in states]), states
+    return np.array(expectations(h, states)), states
 
 
 def error_bound(energies: Sequence[float], weights: WeightVector,

@@ -43,7 +43,7 @@ and is filled on first use: channel superoperators and gather plans per
 operand set, and the noisy, theta-independent preparation state per
 preparation program, which every evaluation then copies.  The rows of
 vec(rho) and the rotations compiled on them live on the circuit, at most
-``ansatz.SECTOR_CACHE_SIZE`` of them.  Nothing derived is kept at module
+``pauli.SECTOR_CACHE_SIZE`` of them.  Nothing derived is kept at module
 level, so a freed calibration can never lend its channels to a new one.
 
 Circuits may address more qubits than the calibration covers (the device
@@ -60,11 +60,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ansatz import (AnsatzCircuit, branches, cached_sector, checked_theta,
-                     sector_rows)
+from .ansatz import AnsatzCircuit, checked_theta, rotation_plans
 from .pauli import (DimensionMismatch, PauliString, PauliSum, RowPlan,
-                    SectorRows, _register_masks, flip_mask, gf2_reduce,
-                    gf2_span)
+                    SectorRows, _register_masks, branches, cached_sector,
+                    gf2_reduce, gf2_span, sector_rows)
 from .statevector import GateOp, StateVector, apply_gate
 
 DEFAULT_GATE_TIME_1Q_NS = 35.6
@@ -241,11 +240,6 @@ class DensityMatrix:
             raise ValueError(f"expected {dim}x{dim} matrix")
         self.vec.amplitudes = matrix.reshape(-1)
 
-    @classmethod
-    def totally_mixed(cls, n_qubits: int) -> "DensityMatrix":
-        dim = 1 << n_qubits
-        return cls(n_qubits, np.eye(dim, dtype=complex) / dim)
-
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, self.matrix)
 
@@ -404,7 +398,8 @@ def apply_noisy_gate(rho: DensityMatrix, gate: GateOp,
     """Ideal gate, then depolarizing, then relaxation on the operands.
 
     Serves the theta-independent preparation gates.  X and RY are real,
-    so the column half is the same gate on qubits shifted by n.
+    so the column half is the same gate on qubits shifted by n, which the
+    gate keeps with its plans (``GateOp.shifted``).
     """
     n = rho.n_qubits
     operands = tuple(sorted(gate.operands()))
@@ -559,20 +554,23 @@ def _compile_vec_sector(circuit: AnsatzCircuit, n: int,
                         representatives: Tuple[int, ...],
                         span: Dict[int, int]) -> VecSector:
     """The rows of ``span`` on vec(rho) and each rotation's two halves
-    compiled on them; the column half is the string's masks on the
-    column qubits, so it runs through the same ``RowPlan``."""
+    compiled on them, in the array passes of ``ansatz._compile_sector``;
+    the column half is the string's masks on the column qubits, so it
+    runs through the same ``RowPlan``."""
     rows = SectorRows(2 * n, sector_rows(representatives, span))
-    by_string: Dict[PauliString, Optional[Tuple[RowPlan, RowPlan]]] = {}
-    for rot in circuit.rotations:
-        if rot.string not in by_string:
-            column = PauliString(2 * n, *_register_masks(rot.string, n))
-            inside = not (gf2_reduce(flip_mask(rot.string, 2 * n), span)
-                          or gf2_reduce(column.x, span))
-            by_string[rot.string] = ((RowPlan(rot.string, rows),
-                                      RowPlan(column, rows)) if inside
-                                     else None)
-    return VecSector(n, rows.rows,
-                     tuple(by_string[rot.string] for rot in circuit.rotations))
+    to_rows = 2 * n - circuit.n_working_qubits
+    to_columns = n - circuit.n_working_qubits
+    inside = ((gf2_reduce(circuit.mask << to_rows, span) == 0)
+              & (gf2_reduce(circuit.mask << to_columns, span) == 0))
+    x, z = circuit.mask[inside], circuit.z_mask[inside]
+    rows.prepare(np.concatenate((x << to_rows, x << to_columns)).tolist(),
+                 np.concatenate((z << to_rows, z << to_columns)).tolist())
+
+    def halves(string: PauliString) -> Tuple[RowPlan, RowPlan]:
+        column = PauliString(2 * n, *_register_masks(string, n))
+        return RowPlan(string, rows), RowPlan(column, rows)
+
+    return VecSector(n, rows.rows, rotation_plans(circuit, inside, halves))
 
 
 # ---------------------------------------------------------------------------

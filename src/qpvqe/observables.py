@@ -7,10 +7,12 @@ optimization-stage requirement, so measurement states get their own
 constructors here and cannot be fed back into the optimizer.
 
 Every readout is <Psi| O (x) A |Psi>, O on the working register and A a
-small sum on the ancillas.  ``pauli.product_expectation`` sums
-c_h c_a <Psi| P_h (P_a Psi)> on O's own cached plans, O-major and A-minor:
-the order in which the product O (x) A lists its terms, so every value is
-bit-identical to measuring the product, which is never formed.
+small sum on the ancillas.  ``pauli.expectations`` sums
+c_h c_a <Psi| P_h (P_a Psi)>, O-major and A-minor: the order in which the
+product O (x) A lists its terms, so every value is bit-identical to
+measuring the product, which is never formed.  Each reader takes all of
+a command's pairs (or gaps) and measures them in one call, which applies
+O once per term to the stacked branches on the rows the states reach.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .ansatz import AnsatzCircuit, apply_ansatz
-from .pauli import PauliString, PauliSum, product_expectation
+from .pauli import PauliString, PauliSum, expectations
 from .state_prep import ReferenceSet, isometry_network
 from .statevector import (StateVector, apply_gate, gate_ry, run_program)
 
@@ -63,20 +65,27 @@ def prepare_pair(circuit: AnsatzCircuit, theta_star: Sequence[float],
             for state, (i, j) in zip(states, pairs)]
 
 
-def energy_gap(pair: PairState, h: PauliSum) -> float:
-    """eps_i - eps_j = 2 <Psi_ij| H (x) Z_a |Psi_ij>."""
-    z = _ancilla_pauli(pair.n_working + 1, pair.n_working, "Z")
-    return 2.0 * product_expectation(h, z, pair.state)
+def energy_gap(pairs: Sequence[PairState], h: PauliSum) -> List[float]:
+    """eps_i - eps_j = 2 <Psi_ij| H (x) Z_a |Psi_ij> for each pair, in one
+    ``expectations`` call."""
+    return [2.0 * value for value in expectations(
+        h, [pair.state for pair in pairs],
+        [_ancilla_pauli(pair.n_working + 1, pair.n_working, "Z")
+         for pair in pairs])]
 
 
-def transition_amplitude(pair: PairState, obs: PauliSum) -> complex:
-    """<eps_i| O |eps_j>: real part from O (x) X_a, imaginary from O (x) Y_a."""
+def transition_amplitude(pairs: Sequence[PairState], obs: PauliSum
+                         ) -> List[complex]:
+    """<eps_i| O |eps_j> for each pair: real part from O (x) X_a, imaginary
+    from O (x) Y_a, all in one ``expectations`` call."""
     if not obs.is_hermitian():
         raise ValueError("transition amplitudes need a Hermitian observable")
-    real, imag = (product_expectation(
-        obs, _ancilla_pauli(pair.n_working + 1, pair.n_working, letter),
-        pair.state) for letter in "XY")
-    return complex(real, imag)
+    values = expectations(
+        obs, [pair.state for pair in pairs for _ in "XY"],
+        [_ancilla_pauli(pair.n_working + 1, pair.n_working, letter)
+         for pair in pairs for letter in "XY"])
+    return [complex(real, imag)
+            for real, imag in zip(values[::2], values[1::2])]
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +155,17 @@ def pair_projector_operator(n_working: int, k: int, pair: Tuple[int, int]
 
 def gap_from_full_purified(circuit: AnsatzCircuit, theta_star: Sequence[float],
                            refs: ReferenceSet, h: PauliSum,
-                           pair: Tuple[int, int],
-                           state: Optional[StateVector] = None) -> float:
-    """Gap eps_i - eps_j measured on the equal-branch K-way state; pass
-    ``full_purified_state(circuit, theta_star, refs)`` as ``state`` to read
-    several gaps from one evolution."""
-    anc, scale = pair_projector_operator(refs.n_qubits, refs.k, pair)
+                           pairs: Sequence[Tuple[int, int]],
+                           state: Optional[StateVector] = None
+                           ) -> List[float]:
+    """Gaps eps_i - eps_j of ``pairs`` measured on the equal-branch K-way
+    state in one ``expectations`` call; pass
+    ``full_purified_state(circuit, theta_star, refs)`` as ``state`` to
+    reuse an evolution."""
+    operators = [pair_projector_operator(refs.n_qubits, refs.k, pair)
+                 for pair in pairs]
     if state is None:
         state = full_purified_state(circuit, theta_star, refs)
-    return scale * product_expectation(h, anc, state)
+    values = expectations(h, [state] * len(operators),
+                          [anc for anc, _ in operators])
+    return [scale * value for (_, scale), value in zip(operators, values)]

@@ -17,19 +17,30 @@ the string maps onto itself, is the only place any module reads that
 action: a gather of the positions of rows ^ x, int8 signs at the rows, a
 scalar and the mask.  On every row of the register (``SectorRows.full``,
 kept per register size on the owning ``PauliSum`` by ``plans``) it serves
-P|psi> and exp(-i phi/2 P)|psi>, the matrices of ``to_matrix`` (the ED
-oracle) and Tr(P rho); on the rows of ``ansatz.SymmetryScreen`` it runs
-the ansatz, and on the rows where a gate's controls hold, the gate.  The
-masks' GF(2) span (``gf2_span``) gives the rows a state can reach.  Plans
-are bit-identical to the uncompiled string route; the comment above
+P|psi>, the matrices of ``to_matrix`` (the ED oracle) and Tr(P rho); on
+the rows of ``ansatz.SymmetryScreen`` it runs the ansatz, on the rows a
+batch of readout states reaches, H (``expectations``), and on the rows
+where a gate's controls hold, the gate.  The masks' GF(2) span
+(``gf2_span``) gives the rows a state can reach, one representative per
+branch plus the span (``branches``, ``sector_rows``).  A sector's row
+data is compiled in array passes (``SectorRows.prepare``).  Plans are
+bit-identical to the uncompiled string route; the comment above
 ``SectorRows`` says why that matters.
+
+Every expectation runs through ``expectations``: a batch of states of one
+register, each with its ancilla operator A, measured as
+sum c_h c_a <psi| P_h (P_a psi)> with H applied once per term to the
+stacked (branch, row) array and every vdot taken against the state's own
+2^n buffer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -40,6 +51,10 @@ NORM_TOL = 1e-9
 # Largest dense complex matrix to_matrix and the ED oracle will build:
 # 256 MiB, a full matrix up to 12 qubits.
 DENSE_BYTES_GUARD = 1 << 28
+# Sectors a map of compiled rows keeps (``cached_sector``): the ansatz's
+# per circuit, and H's readout rows per ``PauliSum``.  A LiH command needs
+# one per register (the pair states, the K-way state and the eigenpairs).
+SECTOR_CACHE_SIZE = 32
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -173,7 +188,7 @@ class PauliSum:
     ``COEFF_PRUNE_TOL``) are dropped during simplification.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_plans")
+    __slots__ = ("n_qubits", "_terms", "_plans", "_sectors")
 
     def __init__(self, n_qubits: int,
                  terms: Mapping[PauliString, complex] | None = None):
@@ -196,10 +211,11 @@ class PauliSum:
         # (coefficient, RowPlan) pairs in term order on every row of the
         # register, per register size, built on first use by ``plans``.
         self._plans: Dict[int, Tuple[Tuple[complex, "RowPlan"], ...]] = {}
-
-    @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {PauliString(n_qubits): coeff})
+        # The rows of ``expectations``, newest first, at most
+        # SECTOR_CACHE_SIZE: ((register, operator flips), mask of the
+        # indices outside the rows, SectorRows, terms compiled on them).
+        self._sectors: List[Tuple[Tuple[int, Tuple[int, ...]], np.ndarray,
+                                  "SectorRows", tuple]] = []
 
     def terms(self) -> Dict[PauliString, complex]:
         return dict(self._terms)
@@ -212,9 +228,7 @@ class PauliSum:
         term order."""
         compiled = self._plans.get(n_qubits)
         if compiled is None:
-            rows = SectorRows.full(n_qubits)
-            compiled = tuple((coeff, RowPlan(string, rows))
-                             for string, coeff in self._terms.items())
+            compiled = compile_terms(self, SectorRows.full(n_qubits))
             self._plans[n_qubits] = compiled
         return compiled
 
@@ -308,11 +322,13 @@ def flip_mask(string: PauliString, n_qubits: int) -> int:
     return _register_masks(string, n_qubits)[0]
 
 
-def parities(values: np.ndarray, mask: int) -> np.ndarray:
+def parities(values: np.ndarray, mask) -> np.ndarray:
     """parity(v & mask), 0 or 1, of each integer v in ``values``: the
-    masked bits folded onto bit 0 by halving shifts."""
+    masked bits folded onto bit 0 by halving shifts.  ``mask`` is an int,
+    or an integer array that broadcasts against ``values``."""
     out = values & mask
-    shift = 1 << max(mask.bit_length() - 1, 0).bit_length()
+    top = int(mask.max(initial=0)) if isinstance(mask, np.ndarray) else mask
+    shift = 1 << max(top.bit_length() - 1, 0).bit_length()
     while shift > 1:
         shift >>= 1
         out ^= out >> shift
@@ -324,7 +340,9 @@ class SectorRows:
     compiled on them: one gather per X mask, one int8 sign row per Z mask,
     and per X mask the positions of rho[j, j ^ m] in vec(rho).
 
-    Every string compiled here must map the rows onto themselves.
+    Every string compiled here must map the rows onto themselves.  A
+    compile hands ``prepare`` all its masks at once; a lone ``RowPlan``
+    (a gate's) prepares its own.
     """
 
     __slots__ = ("n_qubits", "rows", "_gathers", "_signs", "_traces")
@@ -341,26 +359,41 @@ class SectorRows:
         """Every row of a ``n_qubits`` register."""
         return cls(n_qubits, np.arange(1 << n_qubits))
 
-    def gather(self, x_mask: int) -> np.ndarray:
-        """Row positions of rows ^ x_mask."""
-        gather = self._gathers.get(x_mask)
-        if gather is None:
-            # a 2^n position map for this one compile, kept by no one
+    def prepare(self, x_masks: Iterable[int], z_masks: Iterable[int]
+                ) -> None:
+        """Compile the gathers of the nonzero ``x_masks`` and the sign rows
+        of ``z_masks`` that are not held yet, in array passes: one 2^n
+        position map, kept by no one, serves every gather, and masks go
+        in chunks whose transients hold at most 2^n entries."""
+        rows = self.rows
+        chunk = max(1, (1 << self.n_qubits) // max(rows.size, 1))
+        xs = [m for m in dict.fromkeys(x_masks) if m and m not in self._gathers]
+        if xs:
             position = np.full(1 << self.n_qubits, -1, dtype=np.intp)
-            position[self.rows] = np.arange(self.rows.size)
-            gather = position[self.rows ^ x_mask]
-            if gather.size and gather.min() < 0:
-                raise ValueError("string maps the rows outside themselves")
-            self._gathers[x_mask] = gather
-        return gather
+            position[rows] = np.arange(rows.size)
+            for start in range(0, len(xs), chunk):
+                masks = xs[start:start + chunk]
+                gathers = position[rows ^ np.array(masks)[:, None]]
+                if gathers.size and gathers.min() < 0:
+                    raise ValueError("string maps the rows outside themselves")
+                self._gathers.update(zip(masks, gathers))
+        zs = [m for m in dict.fromkeys(z_masks) if m not in self._signs]
+        for start in range(0, len(zs), chunk):
+            masks = zs[start:start + chunk]
+            self._signs.update(zip(masks, _parity_signs(
+                rows, np.array(masks)[:, None])))
+
+    def gather(self, x_mask: int) -> np.ndarray:
+        """Row positions of rows ^ x_mask, for a nonzero mask."""
+        if x_mask not in self._gathers:
+            self.prepare((x_mask,), ())
+        return self._gathers[x_mask]
 
     def signs(self, z_mask: int) -> np.ndarray:
         """int8 prod over the Z/Y qubits of (-1)^{j_q} at each row j."""
-        signs = self._signs.get(z_mask)
-        if signs is None:
-            signs = _parity_signs(self.rows, z_mask)
-            self._signs[z_mask] = signs
-        return signs
+        if z_mask not in self._signs:
+            self.prepare((), (z_mask,))
+        return self._signs[z_mask]
 
     def trace_positions(self, x_mask: int) -> np.ndarray:
         """j * 2^n + (j ^ x_mask) at each row j: where the row-major
@@ -434,13 +467,62 @@ def gf2_span(masks: Iterable[int]) -> Dict[int, int]:
     return rows
 
 
-def gf2_reduce(mask: int, span: Mapping[int, int]) -> int:
+def gf2_reduce(mask, span: Mapping[int, int]):
     """``mask`` with every pivot bit of ``span`` (a ``gf2_span``) cleared:
-    0 exactly when the mask lies in the span."""
+    0 exactly when the mask lies in the span.  ``mask`` may be an int64
+    array, reduced in one pass per pivot."""
+    if isinstance(mask, np.ndarray):
+        mask = mask.copy()
+        for pivot, row in span.items():
+            mask ^= (mask >> pivot & 1) * row
+        return mask
     for pivot, row in span.items():
         if mask >> pivot & 1:
             mask ^= row
     return mask
+
+
+def branches(occupied: np.ndarray, kept: int
+             ) -> Tuple[Tuple[int, ...], List[int]]:
+    """One representative per branch, the first of the ``occupied``
+    indices that share its bits under ``kept`` (the label), and the
+    premise flips: each index XOR its branch's representative."""
+    representatives: Dict[int, int] = {}
+    premise = [j ^ representatives.setdefault(j & kept, j)
+               for j in occupied.tolist()]
+    return tuple(representatives.values()), premise
+
+
+def sector_rows(representatives: Sequence[int],
+                span: Dict[int, int]) -> np.ndarray:
+    """The sorted rows of the representatives plus ``span`` (a
+    ``gf2_span`` with no element that tells two representatives apart)."""
+    rows = np.array(representatives, dtype=np.intp)
+    for row in span.values():
+        rows = np.concatenate((rows, rows ^ row))
+    return np.sort(rows)
+
+
+def cached_sector(sectors: Dict, key, compile: Callable[[], object]):
+    """``sectors[key]``, compiled on first use.  A map holds at most
+    SECTOR_CACHE_SIZE sectors; the oldest is dropped first."""
+    sector = sectors.get(key)
+    if sector is None:
+        sector = compile()
+        if len(sectors) >= SECTOR_CACHE_SIZE:
+            del sectors[next(iter(sectors))]
+        sectors[key] = sector
+    return sector
+
+
+def compile_terms(h: PauliSum, rows: SectorRows
+                  ) -> Tuple[Tuple[complex, RowPlan], ...]:
+    """(coefficient, ``RowPlan``) of each of H's terms on ``rows``, in term
+    order, their row data prepared in one pass."""
+    masks = [_register_masks(string, rows.n_qubits) for string in h._terms]
+    rows.prepare([x for x, _ in masks], [z for _, z in masks if z])
+    return tuple((coeff, RowPlan(string, rows))
+                 for string, coeff in h._terms.items())
 
 
 def pauli_action(string: PauliString, n_qubits: int,
@@ -476,43 +558,138 @@ def expectation(h: PauliSum, psi) -> float:
     Hermitian, psi is not normalized, or the imaginary residue exceeds
     tolerance.
     """
-    return _summed_expectation(h, psi, ((1.0, psi.amplitudes),))
+    return expectations(h, (psi,))[0]
 
 
 def product_expectation(h: PauliSum, a: PauliSum, psi) -> float:
-    """Real <psi| H (x) A |psi> without forming the product operator.
+    """Real <psi| H (x) A |psi> without forming the product operator, for
+    a Hermitian A on psi's whole register; see ``expectations``."""
+    return expectations(h, (psi,), (a,))[0]
 
-    A is a Hermitian sum on psi's whole register that acts on qubits H
-    leaves alone (the ancillas of a readout state).  The sum runs over
-    c_h c_a <psi| P_h (P_a psi)> on H's own cached plans, H-major and
-    A-minor: the order in which ``H * A`` lists its terms, so the value is
-    bit-identical to ``expectation`` of the product.
+
+def expectations(h: PauliSum, states: Sequence,
+                 operators: Optional[Sequence[Optional[PauliSum]]] = None
+                 ) -> List[float]:
+    """Real <psi_r| H (x) A_r |psi_r> for each state psi_r of one register
+    and its operator A_r (None, or no ``operators``, for the identity).
+
+    H acts on the lowest-indexed qubits; each A_r is a Hermitian sum on
+    the whole register that acts on qubits H leaves alone (the ancillas of
+    a readout state).  A value sums c_h c_a <psi| P_h (P_a psi)>, H-major
+    and A-minor: the order in which ``H * A`` lists its terms, so it is
+    bit-identical to the expectation of the product, which is never
+    formed.
+
+    The states are stacked on the rows their joint support reaches under
+    H's flips and the operators' (``_readout_rows``), one row per distinct
+    (state, A term) branch.  Each H term acts once on that stack; its
+    result is scattered into full-length kets, exact zeros elsewhere, and
+    every vdot is taken against the state's own 2^n buffer, so every bit
+    is the full register's (README, "Why reductions stay full length").
     """
-    if not a.is_hermitian():
-        raise ValueError("expectation requires a Hermitian PauliSum")
-    return _summed_expectation(h, psi, tuple(
-        (coeff, plan.act(psi.amplitudes))
-        for coeff, plan in a.plans(psi.n_qubits)))
+    if operators is None:
+        operators = (None,) * len(states)
+    if len(operators) != len(states):
+        raise ValueError("one operator per state")
+    if not states:
+        return []
+    n = states[0].n_qubits
+    if h.n_qubits > n:
+        raise DimensionMismatch("operator larger than state register")
+    for psi, a in zip(states, operators):
+        if psi.n_qubits != n:
+            raise DimensionMismatch("states live on different registers")
+        if a is not None:
+            if not a.is_hermitian():
+                raise ValueError("expectation requires a Hermitian PauliSum")
+            if a.n_qubits != n:
+                raise DimensionMismatch(
+                    f"ancilla operator on {a.n_qubits} qubits, state on {n}")
+        norm = np.linalg.norm(psi.amplitudes)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(
+                f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    # H is checked when its rows are compiled: a sum never changes
+    sector, terms = _readout_rows(h, states, operators)
+    rows = sector.rows
+    stack: List[np.ndarray] = []        # one row array per branch
+    bras: List[np.ndarray] = []         # its state's 2^n buffer
+    at: Dict[Tuple[int, Optional[PauliString]], int] = {}
+    uses = []                           # (readout, c_a, branch), in order
+    for r, (psi, a) in enumerate(zip(states, operators)):
+        for string, scale in ((None, 1.0),) if a is None else a.items():
+            key = (id(psi), string)
+            if key not in at:
+                at[key] = len(stack)
+                phi = psi.amplitudes[rows]
+                stack.append(phi if string is None
+                             else RowPlan(string, sector).act(phi))
+                bras.append(psi.amplitudes)
+            uses.append((r, scale, at[key]))
+    if not bras:    # every operator is the zero sum
+        return [0.0] * len(states)
+    dim, count = 1 << n, len(bras)
+    kets = np.zeros(count * dim, dtype=complex)     # one 2^n ket per branch
+    ket_rows = list(kets.reshape(count, dim))
+    if count == 1:  # (M,) arrays: numpy serves them faster than (1, M) ones
+        stack, scatter = stack[0], rows
+    else:           # (branch, row) arrays, and where their rows sit in kets
+        stack = np.stack(stack)
+        scatter = rows + dim * np.arange(count)[:, None]
+    values = [0.0 + 0.0j] * len(states)
+    for coeff, plan in terms:
+        kets[scatter] = plan.act(stack)
+        dots = list(map(np.vdot, bras, ket_rows))
+        for r, scale, b in uses:
+            values[r] += coeff * scale * dots[b]
+    for value in values:
+        if abs(value.imag) > IMAG_RESIDUE_TOL:
+            raise ValueError(
+                f"imaginary residue {value.imag:.3e} above tolerance")
+    return [float(value.real) for value in values]
 
 
-def _summed_expectation(h: PauliSum, psi, branches) -> float:
-    """Sum of c_h c_a <psi|P_h|phi_a> over H's terms, then the
-    (c_a, phi_a) branches, with H, psi and the imaginary residue checked."""
+def _readout_rows(h: PauliSum, states: Sequence,
+                  operators: Sequence[Optional[PauliSum]]
+                  ) -> Tuple[SectorRows, Tuple[Tuple[complex, RowPlan], ...]]:
+    """Rows that hold the states' joint support and that H's and the
+    operators' flips map onto themselves, with H compiled on them.
+
+    Any such rows give the same bits: outside the support every product
+    of a vdot has an exact-zero factor.  So a call takes the first of H's
+    kept sectors of its register and operator flips whose rows hold the
+    support: one lookup and one pass over the support.  Otherwise it
+    compiles the support's closure: one representative per branch
+    (labelled by the bits no term flips) plus the GF(2) span of H's flips,
+    the operators' flips and the premise flips.  H keeps at most
+    SECTOR_CACHE_SIZE sectors, the newest first.
+    """
+    n = states[0].n_qubits
+    a_masks = tuple(sorted({string.x for a in operators if a is not None
+                            for string in a._terms}))
+    occupied = states[0].amplitudes != 0
+    for psi in states[1:]:
+        occupied |= psi.amplitudes != 0
+    for key, outside, sector, terms in h._sectors:
+        if key == (n, a_masks) and not (occupied & outside).any():
+            return sector, terms
     if not h.is_hermitian():
         raise ValueError("expectation requires a Hermitian PauliSum")
-    if h.n_qubits > psi.n_qubits:
-        raise DimensionMismatch("operator larger than state register")
-    amps = psi.amplitudes
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    value = 0.0 + 0.0j
-    for coeff, plan in h.plans(psi.n_qubits):
-        for scale, phi in branches:
-            value += coeff * scale * np.vdot(amps, plan.act(phi))
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
-        raise ValueError(f"imaginary residue {value.imag:.3e} above tolerance")
-    return float(value.real)
+    h_masks = [flip_mask(string, n) for string in h._terms]
+    flips = 0
+    for mask in chain(h_masks, a_masks):
+        flips |= mask
+    representatives, premise = branches(np.flatnonzero(occupied),
+                                        ((1 << n) - 1) & ~flips)
+    span = gf2_span(chain(h_masks, a_masks, premise))
+    sector = SectorRows(n, sector_rows(representatives, span))
+    sector.prepare(a_masks, ())
+    outside = np.ones(1 << n, dtype=bool)
+    outside[sector.rows] = False
+    h._sectors.insert(0, ((n, a_masks), outside, sector,
+                          compile_terms(h, sector)))
+    del h._sectors[SECTOR_CACHE_SIZE:]
+    return sector, h._sectors[0][3]
 
 
 def check_dense_bytes(rows: int, cols: int) -> None:

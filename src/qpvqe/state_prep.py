@@ -10,7 +10,7 @@ compressed register itself serves as the ancilla register: no copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -222,6 +222,9 @@ class PurifiedPrep:
     refs: ReferenceSet
     n_ancilla: int
     program: Tuple[GateOp, ...]
+    # The program's output, built on first use by ``prepare``.
+    _amplitudes: Optional[np.ndarray] = field(default=None, init=False,
+                                              compare=False, repr=False)
 
     @property
     def n_qubits(self) -> int:
@@ -236,8 +239,11 @@ class PurifiedPrep:
         return out
 
     def prepare(self) -> StateVector:
-        state = StateVector(self.n_qubits)
-        return run_program(state, self.program)
+        """A fresh copy of the prepared state; the program runs once."""
+        if self._amplitudes is None:
+            object.__setattr__(self, "_amplitudes", run_program(
+                StateVector(self.n_qubits), self.program).amplitudes)
+        return StateVector(self.n_qubits, self._amplitudes)
 
 
 def build_purified_prep(weights: WeightVector, refs: ReferenceSet) -> PurifiedPrep:

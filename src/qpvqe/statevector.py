@@ -64,9 +64,12 @@ class GateOp:
     controls: Tuple[Tuple[int, int], ...] = ()
     angle: Optional[float] = None
     # The target's plan on the control rows by register size, built on
-    # first use by ``plan``.
+    # first use by ``plan``, and the gate on shifted qubits by offset, kept
+    # with its own plans by ``shifted``.
     _plans: Dict[int, RowPlan] = field(default_factory=dict, init=False,
                                        compare=False, repr=False)
+    _shifted: Dict[int, "GateOp"] = field(default_factory=dict, init=False,
+                                          compare=False, repr=False)
 
     def __post_init__(self):
         operands = self.operands()
@@ -99,10 +102,14 @@ class GateOp:
         return plan
 
     def shifted(self, offset: int) -> "GateOp":
-        """The same gate on qubits ``offset`` higher."""
-        return GateOp(self.target + offset,
-                      tuple((q + offset, v) for q, v in self.controls),
-                      self.angle)
+        """The same gate on qubits ``offset`` higher, built once per
+        offset, so its plans are compiled once too."""
+        gate = self._shifted.get(offset)
+        if gate is None:
+            gate = self._shifted[offset] = GateOp(
+                self.target + offset,
+                tuple((q + offset, v) for q, v in self.controls), self.angle)
+        return gate
 
 
 def gate_x(qubit: int) -> GateOp:

@@ -8,11 +8,14 @@ import numpy as np
 from qpvqe.ansatz import (_evolve, apply_ansatz, parameter_vector,
                           symmetry_screen, value_and_gradient)
 from qpvqe.fermion import FermionTerm, spin_orbital
-from qpvqe.noise import (_gather_plan, _noise_channels, channel_superoperator,
-                         depolarizing_kraus, thermal_relaxation_kraus)
+from qpvqe.noise import (DensityMatrix, _gather_plan, _noise_channels,
+                         channel_superoperator, depolarizing_kraus,
+                         thermal_relaxation_kraus)
 from qpvqe.observables import ancilla_projector, full_purified_state
-from qpvqe.pauli import (DimensionMismatch, PauliString, PauliSum, RowPlan,
-                         SectorRows, _I_POWERS, expectation, paulisum_action)
+from qpvqe.pauli import (DimensionMismatch, IMAG_RESIDUE_TOL, NORM_TOL,
+                         PauliString, PauliSum, RowPlan, SectorRows,
+                         _I_POWERS, _register_masks, expectation, parities,
+                         paulisum_action)
 from qpvqe.statevector import (GateOp, StateVector, apply_gate,
                                apply_pauli_exponential, init_basis)
 
@@ -22,6 +25,17 @@ _SINGLE_QUBIT_MATRICES = {
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+
+
+def identity_sum(n_qubits: int, coeff: complex = 1.0) -> PauliSum:
+    """coeff times the identity string on ``n_qubits``."""
+    return PauliSum(n_qubits, {PauliString(n_qubits): coeff})
+
+
+def totally_mixed(n_qubits: int) -> DensityMatrix:
+    """The density matrix 1 / 2^n."""
+    dim = 1 << n_qubits
+    return DensityMatrix(n_qubits, np.eye(dim, dtype=complex) / dim)
 
 
 def kron_matrix(h: PauliSum) -> np.ndarray:
@@ -216,6 +230,49 @@ def full_register_plans(strings, n_qubits):
         if string not in by_string:
             by_string[string] = RowPlan(string, rows)
     return tuple(by_string[string] for string in strings)
+
+
+def full_register_product_expectation(h, a, psi):
+    """<psi| H (x) A |psi> (A None: the identity) on every row of the
+    register: P_a psi once per term of A on ``a.plans(n)``, then
+    c_h c_a <psi| P_h (P_a psi)> on ``h.plans(n)``, H-major and A-minor,
+    each a plain ``np.vdot`` of full-length arrays.  ``expectations`` on
+    the rows the states reach must reproduce it bit for bit."""
+    if a is not None and not a.is_hermitian():
+        raise ValueError("expectation requires a Hermitian PauliSum")
+    if not h.is_hermitian():
+        raise ValueError("expectation requires a Hermitian PauliSum")
+    if h.n_qubits > psi.n_qubits:
+        raise DimensionMismatch("operator larger than state register")
+    amps = psi.amplitudes
+    norm = np.linalg.norm(amps)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    branches = (((1.0, amps),) if a is None else tuple(
+        (coeff, plan.act(amps)) for coeff, plan in a.plans(psi.n_qubits)))
+    value = 0.0 + 0.0j
+    for coeff, plan in h.plans(psi.n_qubits):
+        for scale, phi in branches:
+            value += coeff * scale * np.vdot(amps, plan.act(phi))
+    if abs(value.imag) > IMAG_RESIDUE_TOL:
+        raise ValueError(f"imaginary residue {value.imag:.3e} above tolerance")
+    return float(value.real)
+
+
+def per_mask_row_data(string, sector):
+    """(gather, signs, scalar) of one string on ``sector``'s rows, compiled
+    alone: a 2^n position map for its X mask, and its Z mask's signs from
+    one ``parities`` call.  The array-pass compile must equal it."""
+    x, z = _register_masks(string, sector.n_qubits)
+    rows = sector.rows
+    gather = None
+    if x:
+        position = np.full(1 << sector.n_qubits, -1, dtype=np.intp)
+        position[rows] = np.arange(rows.size)
+        gather = position[rows ^ x]
+        assert gather.min() >= 0
+    signs = (1 - 2 * parities(rows, z)).astype(np.int8) if z else None
+    return gather, signs, _I_POWERS[-(x & z).bit_count() & 3]
 
 
 def full_register_apply_ansatz(circuit, theta, state):

@@ -247,22 +247,22 @@ def test_criterion_6_gaps_and_amplitudes(h2_sweep, lih_run, h4_run):
             for j in range(i + 1, k):
                 pair = prepare_pair(problem.circuit, result.theta_star,
                                     problem.refs, [(i, j)])[0]
-                gap = energy_gap(pair, problem.h)
+                gap, = energy_gap([pair], problem.h)
                 worst = max(worst, abs(gap - (eps[i] - eps[j])))
                 for obs in (problem.h, hop):
-                    amp = transition_amplitude(pair, obs)
+                    amp, = transition_amplitude([pair], obs)
                     direct = complex(np.vdot(
                         result.states[i].amplitudes,
                         paulisum_action(obs, n, result.states[j].amplitudes)))
                     worst = max(worst, abs(amp - direct))
         for pair_indices in supported_projector_pairs(k):
             i, j = pair_indices
-            gap_p = gap_from_full_purified(problem.circuit, result.theta_star,
-                                           problem.refs, problem.h,
-                                           pair_indices)
+            gap_p, = gap_from_full_purified(problem.circuit, result.theta_star,
+                                            problem.refs, problem.h,
+                                            [pair_indices])
             pair = prepare_pair(problem.circuit, result.theta_star,
                                 problem.refs, [(i, j)])[0]
-            worst = max(worst, abs(gap_p - energy_gap(pair, problem.h)))
+            worst = max(worst, abs(gap_p - energy_gap([pair], problem.h)[0]))
     report(6, "gap and amplitude extraction", worst <= 1e-10,
            f"max deviation across runs/pairs/routes = {worst:.2e} Ha")
 

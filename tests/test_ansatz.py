@@ -12,7 +12,7 @@ from qpvqe.state_prep import (ReferenceSet, build_purified_prep,
                               default_weights, prepare_purified)
 from qpvqe.statevector import StateVector, init_basis
 
-from oracles import (apply_ansatz_inverse, circuit_unitary,
+from oracles import (apply_ansatz_inverse, circuit_unitary, identity_sum,
                      expectation_objective, gradient, number_operator,
                      shifted_gradient, sz_operator)
 
@@ -130,7 +130,7 @@ class TestApplyAnsatz:
 
 class TestGradient:
     def test_constant_objective_zero_gradient(self, m2_circuit):
-        h = PauliSum.identity(4, 2.5)
+        h = identity_sum(4, 2.5)
         init = init_basis(4, "1100")
         grad = gradient(m2_circuit, np.zeros(m2_circuit.parameter_count),
                         h, init)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import qpvqe.pauli as pauli
 from qpvqe.cli import run_cli
 from qpvqe.pauli import PauliSum
 
@@ -147,27 +148,29 @@ class TestRunAndConsumers:
     def test_readout_builds_no_operator_products(self, record_path, capsys,
                                                  monkeypatch, command):
         products, compiled = [], []
-        real_mul, real_plans = PauliSum.__mul__, PauliSum.plans
+        real_mul, real_compile = PauliSum.__mul__, pauli.compile_terms
 
         def spy_mul(self, other):
             if isinstance(other, PauliSum):
                 products.append((len(self), len(other)))
             return real_mul(self, other)
 
-        def spy_plans(self, n_qubits):
-            if n_qubits not in self._plans and len(self) > 4:
-                compiled.append((id(self), n_qubits))
-            return real_plans(self, n_qubits)
+        def spy_compile(h, rows):
+            # every compile of a sum's terms, on all rows or on some
+            if len(h) > 4:
+                compiled.append((id(h), rows.n_qubits))
+            return real_compile(h, rows)
 
         monkeypatch.setattr(PauliSum, "__mul__", spy_mul)
-        monkeypatch.setattr(PauliSum, "plans", spy_plans)
+        monkeypatch.setattr(pauli, "compile_terms", spy_compile)
         code, out = invoke([command, "--result", record_path, "--projector"]
                            if command == "gaps" else
                            [command, "--result", record_path], capsys)
         assert code == 0 and len(out.splitlines()) > 6
         assert all(max(sizes) <= 4 for sizes in products), products
-        # H's 15 strings, compiled once for the 5-qubit pair register and,
-        # for projector gaps, once for the 6-qubit equal-branch register.
+        # H's 15 strings, compiled once on the rows the 5-qubit pair states
+        # reach and, for projector gaps, once on those the 6-qubit
+        # equal-branch state reaches.
         assert len({key for key, _ in compiled}) == 1
         assert [n for _, n in compiled] == ([5, 6] if command == "gaps"
                                              else [5])

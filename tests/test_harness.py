@@ -10,8 +10,8 @@ from qpvqe.harness import (EDReference, HamiltonianFormatError,
 from qpvqe.pauli import PauliString, PauliSum, paulisum_action, to_matrix
 
 from conftest import data_path
-from oracles import (ed_residuals, kron_matrix, number_operator,
-                     sz_operator)
+from oracles import (ed_residuals, identity_sum, kron_matrix,
+                     number_operator, sz_operator)
 
 
 class TestParseHamiltonian:
@@ -161,10 +161,10 @@ class TestExactDiagonalize:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            exact_diagonalize(PauliSum.identity(15))
+            exact_diagonalize(identity_sum(15))
 
     def test_subspace_fidelity_degenerate_block(self):
-        h = PauliSum.identity(2, 1.0)  # fully degenerate
+        h = identity_sum(2, 1.0)  # fully degenerate
         ref = exact_diagonalize(h, k=4)
         v = np.zeros(4, dtype=complex)
         v[2] = 1.0

@@ -18,8 +18,8 @@ from qpvqe.statevector import (GateOp, gate_cnot, gate_controlled_ry,
 
 from conftest import data_path
 from oracles import (apply_kraus, check_density_matrix, embed_kraus,
-                     embedded, gate_unitary, kron_matrix, rotation_unitary,
-                     string_noisy_ansatz)
+                     embedded, gate_unitary, identity_sum, kron_matrix,
+                     rotation_unitary, string_noisy_ansatz, totally_mixed)
 
 CAL_PATH = data_path("calibration", "ibmq_manila.cal")
 
@@ -285,7 +285,7 @@ class TestChannels:
                               rho.matrix)
             assert rho.expectation(op) == pytest.approx(dense.real, abs=1e-12)
         with pytest.raises(DimensionMismatch):
-            rho.expectation(PauliSum.identity(n + 1))
+            rho.expectation(identity_sum(n + 1))
 
     def test_pauli_trace_gathers_are_built_once_per_plan(self):
         # The sign rows and vec(rho) positions live on the rows the plans
@@ -386,7 +386,7 @@ class TestNoisyEnergy:
 
     def test_totally_mixed_reference(self, h2_problem):
         h = h2_problem.h
-        rho = DensityMatrix.totally_mixed(h.n_qubits)
+        rho = totally_mixed(h.n_qubits)
         value = sum(c.real * rho.expectation(PauliSum(h.n_qubits, {s: 1.0}))
                     for s, c in h.items())
         assert value == pytest.approx(totally_mixed_energy(h), abs=1e-12)

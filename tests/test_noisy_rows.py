@@ -11,11 +11,12 @@ bit, signs of zero included, so states are compared by raw ``tobytes``.
 import numpy as np
 import pytest
 
-from qpvqe.ansatz import SECTOR_CACHE_SIZE, build_uccgsd
+from qpvqe.ansatz import build_uccgsd
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.noise import (DensityMatrix, apply_noisy_ansatz, evolve_noisy,
                          load_calibration, noisy_ensemble_energy,
                          zero_noise_calibration)
+from qpvqe.pauli import SECTOR_CACHE_SIZE
 from qpvqe.statevector import StateVector
 
 from conftest import data_path

@@ -9,7 +9,7 @@ from qpvqe.pauli import (DimensionMismatch, PauliString, PauliSum, RowPlan,
 from qpvqe.statevector import StateVector, init_basis
 
 from conftest import data_path
-from oracles import add_simplify, kron_matrix
+from oracles import add_simplify, identity_sum, kron_matrix
 
 
 def word(n, w):
@@ -154,7 +154,7 @@ class TestExpectation:
 
 class TestToMatrix:
     def test_identity(self):
-        h = PauliSum.identity(1)
+        h = identity_sum(1)
         assert np.allclose(to_matrix(h), np.eye(2))
 
     def test_z_bit_ordering(self):
@@ -167,7 +167,7 @@ class TestToMatrix:
 
     def test_qubit_guard(self):
         with pytest.raises(ValueError):
-            to_matrix(PauliSum.identity(15))
+            to_matrix(identity_sum(15))
 
 
 @st.composite

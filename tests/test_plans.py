@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import data_path
-from oracles import (kron_sign_vector, string_apply_ansatz, string_expectation,
-                     string_pauli_action, string_pauli_exponential,
-                     string_paulisum_action, string_value_and_gradient)
+from oracles import (identity_sum, kron_sign_vector, string_apply_ansatz,
+                     string_expectation, string_pauli_action,
+                     string_pauli_exponential, string_paulisum_action,
+                     string_value_and_gradient)
 from qpvqe.ansatz import (AnsatzCircuit, Rotation, apply_ansatz, build_uccgsd,
                           symmetry_screen, value_and_gradient)
 from qpvqe.fermion import enumerate_sz_excitations
@@ -300,7 +301,7 @@ class TestDenseGuard:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError):
-                to_matrix(PauliSum.identity(n))
+                to_matrix(identity_sum(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,7 +312,7 @@ class TestDenseGuard:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError):
-                exact_diagonalize(PauliSum.identity(n))
+                exact_diagonalize(identity_sum(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import qpvqe.ansatz as ansatz
-from qpvqe.ansatz import SECTOR_CACHE_SIZE, apply_ansatz, build_uccgsd
+from qpvqe.ansatz import apply_ansatz, build_uccgsd
 from qpvqe.cli import run_cli
 from qpvqe.fermion import enumerate_sz_excitations
+from qpvqe.pauli import SECTOR_CACHE_SIZE
 from qpvqe.state_prep import (ReferenceSet, build_purified_prep,
                               default_weights)
 from qpvqe.statevector import StateVector, init_basis

@@ -149,6 +149,17 @@ class TestPreparePurified:
         with pytest.raises(ValueError):
             build_purified_prep(default_weights(3), H2_REFS)
 
+    def test_prepare_runs_the_program_once_and_hands_out_copies(self):
+        prep = build_purified_prep(default_weights(4), H2_REFS)
+        first = prep.prepare()
+        program_state = run_program(StateVector(prep.n_qubits), prep.program)
+        assert first.amplitudes.tobytes() == program_state.amplitudes.tobytes()
+        first.amplitudes[:] = 0.0
+        second = prep.prepare()
+        assert second.amplitudes is not first.amplitudes
+        assert second.amplitudes.tobytes() == program_state.amplitudes.tobytes()
+        assert prep == build_purified_prep(default_weights(4), H2_REFS)
+
 
 class TestReferenceSet:
     def test_rejects_duplicates(self):
