@@ -75,17 +75,34 @@ MUTANTS = (
            "                for bra, ket in zip(bras, ket_rows)]",
            READOUT_ROW_TESTS),
     # The Adam step after a backtrack must use the accepted attempt's
-    # gradient; LiH backtracks in 32 of its 203 iterations.
+    # gradient; LiH backtracks in 32 of its 203 iterations.  A rejected
+    # proposal computes no gradient, so the stale one the mutant reads is
+    # that of the last accepted step.
     Mutant("backtrack-keeps-proposal-gradient", "src/qpvqe/driver.py",
-           """            energy_new, grad_new = value_and_gradient(circuit, theta_new, h,
-                                                      initial, screen)
+           """            energy_new, grad_new = value_and_gradient(
+                circuit, theta_new, h, initial, screen,
+                bound=energy + MONOTONE_TOL)
 """,
-           """            energy_new, grad_try = value_and_gradient(circuit, theta_new, h,
-                                                      initial, screen)
-            grad_new = grad_try if attempt == 0 else grad_new
+           """            energy_new, grad_try = value_and_gradient(
+                circuit, theta_new, h, initial, screen,
+                bound=energy + MONOTONE_TOL)
+            grad_new = grad_try if attempt == 0 else grad
 """,
            ("tests/test_acceptance.py", "-k",
             "stored_benchmark_record")),
+    # Readouts build only the generators of theta*'s nonzero entries
+    # (cli._load_readout), from the record's own labels.
+    Mutant("readout-drops-negative-theta", "src/qpvqe/cli.py",
+           "active = np.flatnonzero(theta)",
+           "active = np.flatnonzero(theta > 0)",
+           ("tests/test_cli.py", "-k",
+            "ActiveGeneratorReadout and stored_lih_record")),
+    Mutant("readout-ignores-record-excitations", "src/qpvqe/cli.py",
+           """    labels = (record_get_all(fields, "excitation")
+              or sz_excitation_labels(m_spatial))""",
+           "    labels = sz_excitation_labels(m_spatial)",
+           ("tests/test_cli.py", "-k",
+            "ActiveGeneratorReadout and h4_record_with_excitations")),
     # Pauli algebra: the phase rule that multiply and Jordan-Wigner share
     # (pauli.product_power), and the listing order of sorted_terms.
     Mutant("product-phase-term-swapped", "src/qpvqe/pauli.py",

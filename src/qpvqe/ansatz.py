@@ -25,6 +25,7 @@ which the readouts (``pauli.expectations``) stack on their own rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -67,6 +68,10 @@ class AnsatzCircuit:
         field(default_factory=dict, init=False, compare=False, repr=False)
     _vec_sectors: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], object] \
         = field(default_factory=dict, init=False, compare=False, repr=False)
+    # ``noise.noisy_ensemble_energy``'s programs by (prepared state, which
+    # angles are nonzero), at most ``pauli.SECTOR_CACHE_SIZE``.
+    _noisy_programs: Dict[Tuple[object, bytes], object] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for rot in self.rotations:
@@ -95,11 +100,18 @@ def parameter_vector(values: Sequence[float]) -> np.ndarray:
     return theta
 
 
-def build_uccgsd(generators: Sequence[ExcitationGenerator]) -> AnsatzCircuit:
-    """Compile generators into the single-Trotter-step circuit."""
-    if not generators:
-        raise ValueError("no generators given")
-    n_working = generators[0].pauli_form.n_qubits
+def build_uccgsd(generators: Sequence[ExcitationGenerator],
+                 n_working_qubits: Optional[int] = None) -> AnsatzCircuit:
+    """Compile generators into the single-Trotter-step circuit.
+
+    The working register is the generators' unless ``n_working_qubits``
+    names it; with that and no generators the circuit is U = 1.
+    """
+    n_working = n_working_qubits
+    if n_working is None:
+        if not generators:
+            raise ValueError("no generators given")
+        n_working = generators[0].pauli_form.n_qubits
     rotations: List[Rotation] = []
     for gen in generators:
         if gen.pauli_form.n_qubits != n_working:
@@ -109,7 +121,7 @@ def build_uccgsd(generators: Sequence[ExcitationGenerator]) -> AnsatzCircuit:
                 raise ValueError(
                     f"generator {gen.label()} is not anti-Hermitian")
             rotations.append(Rotation(string, -coeff.imag, gen.parameter_index))
-    n_params = 1 + max(g.parameter_index for g in generators)
+    n_params = 1 + max((g.parameter_index for g in generators), default=-1)
     return AnsatzCircuit(n_working, tuple(rotations), n_params)
 
 
@@ -327,18 +339,25 @@ def _full_length_vdot(rows: np.ndarray, dim: int):
 
 def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
                        h: PauliSum, initial: StateVector,
-                       screen: SymmetryScreen) -> Tuple[float, np.ndarray]:
+                       screen: SymmetryScreen, bound: float = math.inf
+                       ) -> Tuple[float, Optional[np.ndarray]]:
     """Energy and its exact parameter-shift gradient in one double sweep.
 
     Every rotation r contributes the two-sided shift value
     (E(phi_r + pi/2) - E(phi_r - pi/2))/2, accumulated onto its parameter
-    with the chain-rule factor 2*c_r.  The backward sweep evaluates those
-    shifted expectations algebraically (equal by the rotation identity
-    U(phi +- pi/2) = U(phi) exp(-+ i pi/4 P)), which costs O(R) instead of
-    O(R^2) circuit executions; tests pin equality against literal shifted
-    executions and finite differences.  The sweep un-rotates psi and
-    lambda = H|psi> stacked in one (2, M) array, one pass per rotation
-    for both.
+    with the chain-rule factor 2*c_r.  The backward sweep
+    (``_backward_sweep``) evaluates those shifted expectations
+    algebraically (equal by the rotation identity U(phi +- pi/2) =
+    U(phi) exp(-+ i pi/4 P)), which costs O(R) instead of O(R^2) circuit
+    executions; tests pin equality against literal shifted executions and
+    finite differences.  The sweep un-rotates psi and lambda = H|psi>
+    stacked in one (2, M) array, one pass per rotation for both.
+
+    When the energy is not at most ``bound`` (NaN included), the gradient
+    is None and the backward sweep does not run: the optimizer passes its
+    acceptance bound, so a rejected attempt costs only its forward pass.
+    Below the bound the gradient is computed from the same psi and lambda
+    arrays, so its bits do not depend on ``bound``.
 
     The elementwise work runs on the rows of theta in ``screen``
     (``symmetry_screen(circuit, h, initial)``, built once per problem) and
@@ -351,12 +370,22 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
         raise ValueError("the screen was built for another Hamiltonian")
     theta = checked_theta(circuit, theta)
     sector = screen.sector(theta)
-    strings = sector.strings
     angles = circuit.angles(theta)
-    psi = _evolve(strings, angles, initial.amplitudes[sector.rows])
+    psi = _evolve(sector.strings, angles, initial.amplitudes[sector.rows])
     lam = terms_action(sector.terms, psi)
     vdot = _full_length_vdot(sector.rows, 1 << initial.n_qubits)
     energy = float(vdot(psi, lam).real)
+    if not energy <= bound:
+        return energy, None
+    return energy, _backward_sweep(circuit, sector, angles, psi, lam, vdot)
+
+
+def _backward_sweep(circuit: AnsatzCircuit, sector: Sector,
+                    angles: Sequence[float], psi: np.ndarray,
+                    lam: np.ndarray, vdot) -> np.ndarray:
+    """The gradient of ``value_and_gradient``: psi and lambda = H|psi>
+    un-rotated last rotation first, Im<lambda_r|P_r|psi_r> read at each."""
+    strings = sector.strings
     rotations = circuit.rotations
     grad = [0.0] * circuit.parameter_count
     # psi over the raw H|psi>, deliberately unnormalized
@@ -369,4 +398,4 @@ def value_and_gradient(circuit: AnsatzCircuit, theta: Sequence[float],
         # changes nothing because U_r commutes with its own string.
         grad[rot.parameter_index] += 2.0 * rot.coefficient * float(
             vdot(pair[1], plan.act(pair[0])).imag)
-    return energy, np.array(grad)
+    return np.array(grad)

@@ -18,10 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ansatz import build_uccgsd
+from .ansatz import build_uccgsd, parameter_vector
 from .driver import (DEFAULT_THRESHOLD_HA, QpvqeConfig, SpectrumResult,
                      SpsaConfig, attach_certificate, optimize)
-from .fermion import enumerate_sz_excitations
+from .fermion import enumerate_sz_excitations, sz_excitation_labels
 from .harness import (exact_diagonalize, format_float,
                       load_hamiltonian, load_manifest, parse_record,
                       record_get, record_get_all, write_record)
@@ -104,7 +104,17 @@ def _result_record(args, h: PauliSum, refs: ReferenceSet,
 
 def _load_readout(args):
     """Hamiltonian, circuit, references, theta* and pairs of a gaps or
-    amplitudes command, from its result record."""
+    amplitudes command, from its result record.
+
+    theta* is checked against the record's ``excitation`` labels (every
+    label of ``sz_excitation_labels`` when it lists none) before anything
+    prints.  The circuit holds only the generators of theta*'s nonzero
+    entries (-0.0 is zero), in their order, and the returned theta holds
+    only those entries.  That is exact: a zero angle's rotation never
+    runs, each other angle is 2 theta c from the same values, and any
+    rows that hold the states' support give the same bits.  With no
+    nonzero entry the circuit is U = 1.
+    """
     with open(args.result) as fh:
         fields = parse_record(fh.read())
     if record_get(fields, "kind") != "spectrum_result":
@@ -115,14 +125,24 @@ def _load_readout(args):
     if h.n_qubits != recorded:
         raise ValueError(f"{ham_path} acts on {h.n_qubits} qubits but "
                          f"{args.result} was run on {recorded}")
-    circuit = build_uccgsd(enumerate_sz_excitations(
-        h.n_qubits // 2, effective=record_get_all(fields, "excitation") or None))
     refs = ReferenceSet(tuple(record_get_all(fields, "ref")))
-    theta = np.array([float(t) for t in record_get(fields, "theta").split()])
+    m_spatial = h.n_qubits // 2
+    labels = (record_get_all(fields, "excitation")
+              or sz_excitation_labels(m_spatial))
+    theta = parameter_vector(
+        [float(t) for t in record_get(fields, "theta").split()])
+    if theta.size != len(labels):
+        raise ValueError(
+            f"expected {len(labels)} parameters, got {theta.size}")
+    active = np.flatnonzero(theta)
+    generators = (enumerate_sz_excitations(
+        m_spatial, effective=[labels[i] for i in active])
+        if active.size else [])
+    circuit = build_uccgsd(generators, h.n_qubits)
     k = int(record_get(fields, "k"))
     pairs = ([_parse_pair(p, k) for p in args.pairs] if args.pairs else
              [(i, j) for i in range(k) for j in range(i + 1, k)])
-    return h, circuit, refs, theta, pairs
+    return h, circuit, refs, theta[active], pairs
 
 
 def _parse_pair(text: str, k: int) -> Tuple[int, int]:

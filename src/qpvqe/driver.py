@@ -10,8 +10,10 @@ recorded trace never rises by more than the monotone tolerance and the
 trace.  An evaluation is one ``value_and_gradient`` call: the proposal and
 every backtrack attempt make one, and the accepted attempt's gradient
 drives the next step, so ``SpectrumResult.evaluations`` counts those
-calls.  Each run builds one symmetry screen, which makes evaluations
-cheaper only.
+calls.  Each attempt passes the acceptance bound, so a rejected one stops
+after its forward pass and computes no gradient; only a descent's start
+and its accepted attempts run the backward sweep.  Each run builds one
+symmetry screen, which makes evaluations cheaper only.
 """
 
 from __future__ import annotations
@@ -152,8 +154,11 @@ def _adam_descent(h: PauliSum, circuit: AnsatzCircuit, initial: StateVector,
         # The proposal, then up to MAX_BACKTRACKS retries at a decayed rate.
         for attempt in range(MAX_BACKTRACKS + 1):
             theta_new = theta - lr * direction
-            energy_new, grad_new = value_and_gradient(circuit, theta_new, h,
-                                                      initial, screen)
+            # a rejected attempt's gradient is never read, so it is not
+            # computed: the bound is the acceptance test below
+            energy_new, grad_new = value_and_gradient(
+                circuit, theta_new, h, initial, screen,
+                bound=energy + MONOTONE_TOL)
             evaluations += 1
             if attempt == 0 and not np.isfinite(energy_new):
                 raise FloatingPointError(

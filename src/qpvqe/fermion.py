@@ -100,8 +100,13 @@ class ExcitationGenerator:
             raise ValueError("generator pauli_form must be anti-Hermitian")
 
     def label(self) -> str:
-        head = "s" if self.kind == "single" else "d"
-        return head + ":" + ",".join(str(i) for i in self.indices)
+        return excitation_label(self.kind, self.indices)
+
+
+def excitation_label(kind: str, indices: Tuple[int, ...]) -> str:
+    """"s:p,q" for a single, "d:p,q,r,s" for a double."""
+    head = "s" if kind == "single" else "d"
+    return head + ":" + ",".join(str(i) for i in indices)
 
 
 def parse_excitation_label(label: str) -> Tuple[str, Tuple[int, ...]]:
@@ -115,17 +120,42 @@ def parse_excitation_label(label: str) -> Tuple[str, Tuple[int, ...]]:
     raise ValueError(f"bad excitation label {label!r}")
 
 
+def sz_excitations(m_spatial: int) -> List[Tuple[str, Tuple[int, ...]]]:
+    """(kind, indices) of every generalized S_z-preserving excitation over
+    2M spin-orbitals, in parameter order; no Jordan-Wigner runs.
+
+    Every spatial single pair p<q (one shared parameter per pair across
+    the two spin channels), then every spin-orbital double
+    a_p^dag a_q^dag a_r a_s with p<q, r<s, (p,q) < (r,s) lexicographically
+    and matching pair spin projection, in ascending index order.
+    """
+    if m_spatial < 1:
+        raise ValueError("need at least one spatial orbital")
+    n_modes = 2 * m_spatial
+    listing = [("single", (p, q)) for p in range(m_spatial)
+               for q in range(p + 1, m_spatial)]
+    pairs = [(p, q) for p in range(n_modes) for q in range(p + 1, n_modes)]
+    for i, (p, q) in enumerate(pairs):
+        for (r, s) in pairs[i + 1:]:
+            if spin_of(p) + spin_of(q) == spin_of(r) + spin_of(s):
+                listing.append(("double", (p, q, r, s)))
+    return listing
+
+
+def sz_excitation_labels(m_spatial: int) -> List[str]:
+    """The labels of ``sz_excitations``, in parameter order."""
+    return [excitation_label(*spec) for spec in sz_excitations(m_spatial)]
+
+
 def enumerate_sz_excitations(
         m_spatial: int,
         effective: Optional[Sequence[str]] = None) -> List[ExcitationGenerator]:
-    """Generalized S_z-preserving excitation generators over 2M spin-orbitals.
+    """The generators of ``effective``, a list of labels ("s:p,q" /
+    "d:p,q,r,s"), in the given order with parameter indices 0, 1, ...;
+    by default of every excitation of ``sz_excitations``.
 
-    Full mode lists every spatial single pair p<q (one shared parameter per
-    pair across the two spin channels) followed by every spin-orbital
-    double a_p^dag a_q^dag a_r a_s with p<q, r<s, (p,q) < (r,s)
-    lexicographically and matching pair spin projection, in ascending index
-    order.  ``effective`` restricts to an explicit list of generator labels
-    ("s:p,q" / "d:p,q,r,s"), preserving the given order.
+    A readout builds only the labels its theta* moves, so listing labels
+    and building generators are two steps.
     """
     if m_spatial < 1:
         raise ValueError("need at least one spatial orbital")
@@ -158,21 +188,11 @@ def enumerate_sz_excitations(
             raise ValueError(f"excitation {kind}{indices} vanishes identically")
         return ExcitationGenerator(kind, indices, param, form)
 
-    if effective is not None:
-        labels = list(effective)
-        if not labels:
+    if effective is None:
+        specs = sz_excitations(m_spatial)
+    else:
+        specs = [parse_excitation_label(label) for label in effective]
+        if not specs:
             raise ValueError("effective excitation list is empty")
-        return [build(*parse_excitation_label(lab), param)
-                for param, lab in enumerate(labels)]
-
-    generators: List[ExcitationGenerator] = []
-    for p in range(m_spatial):
-        for q in range(p + 1, m_spatial):
-            generators.append(build("single", (p, q), len(generators)))
-    pairs = [(p, q) for p in range(n_modes) for q in range(p + 1, n_modes)]
-    for i, (p, q) in enumerate(pairs):
-        for (r, s) in pairs[i + 1:]:
-            if spin_of(p) + spin_of(q) != spin_of(r) + spin_of(s):
-                continue
-            generators.append(build("double", (p, q, r, s), len(generators)))
-    return generators
+    return [build(kind, indices, param)
+            for param, (kind, indices) in enumerate(specs)]

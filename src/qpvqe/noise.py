@@ -41,10 +41,12 @@ conjugate scalar.
 Everything derived from a calibration lives on that calibration object
 and is filled on first use: channel superoperators and gather plans per
 operand set, and the noisy, theta-independent preparation state per
-preparation program, which every evaluation then copies.  The rows of
-vec(rho) and the rotations compiled on them live on the circuit, at most
-``pauli.SECTOR_CACHE_SIZE`` of them.  Nothing derived is kept at module
-level, so a freed calibration can never lend its channels to a new one.
+preparation program.  The rows of vec(rho) and the rotations compiled on
+them live on the circuit, and so do the objective's compiled programs
+(``NoisyProgram``), one per prepared state and set of nonzero angles; each
+map holds at most ``pauli.SECTOR_CACHE_SIZE`` of them.  Nothing derived is
+kept at module level, so a freed calibration can never lend its channels
+to a new one.
 
 Circuits may address more qubits than the calibration covers (the device
 table has five qubits); lookups wrap around the table and unknown pairs
@@ -419,42 +421,77 @@ def apply_noisy_gate(rho: DensityMatrix, gate: GateOp,
 def apply_noisy_ansatz(rho: DensityMatrix, circuit: AnsatzCircuit, theta,
                        calib: CalibrationData) -> DensityMatrix:
     """U(theta) rotation by rotation, each followed by its operands'
-    one-qubit channels; zero angles are skipped.
+    one-qubit channels; zero angles are skipped.  Runs the
+    ``NoisyProgram`` of rho and theta's nonzero angles."""
+    theta = checked_theta(circuit, theta)
+    angles = circuit.angles(theta)
+    _noisy_program(circuit, rho, [angle != 0.0 for angle in angles],
+                   calib).run(rho, angles)
+    return rho
 
-    The work runs on the rows of vec(rho) that rho can reach
-    (``_vec_sector``), held in an array of M + 1 entries whose last is a
-    zero pad slot.  Rotation r at angle phi runs its row-half ``RowPlan``,
-    then its column-half one at -(-1)^{#Y} phi; that plan's scalar
-    (-i)^{#Y} squares to (-1)^{#Y}.  Each channel is one gather -> matmul
-    -> scatter over the columns of its plan that touch a row; members of
+
+@dataclass(frozen=True, eq=False)
+class NoisyProgram:
+    """The noisy ansatz compiled for one start state and one set of
+    nonzero angles, on the rows of vec(rho) the state reaches
+    (``_vec_sector``).
+
+    ``start`` holds the state's entries at the rows, then a zero pad
+    slot.  Step r at angle phi runs its row-half ``RowPlan``, then its
+    column-half one at -(-1)^{#Y} phi (that plan's scalar (-i)^{#Y}
+    squares to (-1)^{#Y}).  Each channel is one gather -> matmul ->
+    scatter over the columns of its plan that touch a row; members of
     those columns outside the rows read the pad, which is zeroed again
     after the scatter.  The rows are then scattered into a zero 4^n
     buffer.
     """
-    theta = checked_theta(circuit, theta)
+
+    n_qubits: int                # of rho; vec(rho) has 2n
+    rows: np.ndarray             # sorted indices of vec(rho)
+    start: np.ndarray
+    # (rotation, row half, column half, column angle factor,
+    #  (superoperator, gather) per channel), in circuit order
+    steps: Tuple[Tuple[int, RowPlan, RowPlan, float,
+                       Tuple[Tuple[np.ndarray, np.ndarray], ...]], ...]
+
+    def run(self, rho: DensityMatrix, angles: Sequence[float]) -> None:
+        """Replace rho's buffer by the program's result at ``angles``,
+        whose nonzero entries must be the compiled ones."""
+        size = self.rows.size
+        amps = self.start.copy()
+        for r, row, column, factor, channels in self.steps:
+            angle = angles[r]
+            amps[:size] = column.rotate(row.rotate(amps[:size], angle),
+                                        factor * angle)
+            for superop, gather in channels:
+                amps[gather] = superop @ amps[gather]
+                amps[size] = 0.0
+        out = np.zeros(1 << (2 * self.n_qubits), dtype=complex)
+        out[self.rows] = amps[:size]
+        rho.vec.amplitudes = out
+
+
+def _noisy_program(circuit: AnsatzCircuit, rho: DensityMatrix,
+                   active: Sequence[bool],
+                   calib: CalibrationData) -> NoisyProgram:
+    """The ``NoisyProgram`` from rho of the rotations where ``active``
+    holds."""
     n = rho.n_qubits
     if n < circuit.n_working_qubits:
         raise ValueError("density matrix smaller than the ansatz")
-    steps = [(r, angle) + _rotation_noise(calib, n, rot.string)
-             for r, (rot, angle) in enumerate(zip(circuit.rotations,
-                                                  circuit.angles(theta)))
-             if angle != 0.0]
-    sector = _vec_sector(circuit, rho, steps)
+    noise = [(r,) + _rotation_noise(calib, n, circuit.rotations[r].string)
+             for r, runs in enumerate(active) if runs]
+    sector = _vec_sector(circuit, rho, noise)
     size = sector.rows.size
-    amps = np.zeros(size + 1, dtype=complex)
-    amps[:size] = rho.vec.amplitudes[sector.rows]
-    for r, angle, channels, _ in steps:
+    start = np.zeros(size + 1, dtype=complex)
+    start[:size] = rho.vec.amplitudes[sector.rows]
+    steps = []
+    for r, channels, _ in noise:
         row, column = sector.halves[r]
-        amps[:size] = column.rotate(row.rotate(amps[:size], angle),
-                                    -(column.scalar ** 2).real * angle)
-        for superop, (qubit,) in channels:
-            gather = sector.gather(qubit)
-            amps[gather] = superop @ amps[gather]
-            amps[size] = 0.0
-    out = np.zeros(1 << (2 * n), dtype=complex)
-    out[sector.rows] = amps[:size]
-    rho.vec.amplitudes = out
-    return rho
+        steps.append((r, row, column, -(column.scalar ** 2).real, tuple(
+            (superop, sector.gather(qubit))
+            for superop, (qubit,) in channels)))
+    return NoisyProgram(n, sector.rows, start, tuple(steps))
 
 
 def _paired_flip(n: int, qubit: int) -> int:
@@ -479,7 +516,8 @@ def _rotation_noise(calib: CalibrationData, n: int, string: PauliString
 
 def _vec_sector(circuit: AnsatzCircuit, rho: DensityMatrix,
                 steps: Sequence[tuple]) -> "VecSector":
-    """The ``VecSector`` of the rows of vec(rho) the ansatz steps reach.
+    """The ``VecSector`` of the rows of vec(rho) that the steps, each a
+    rotation's index, channels and paired flips, reach.
 
     Every rotation flips its X mask on the row half or on the column
     half, and every Kraus operator of a one-qubit channel flips its
@@ -502,7 +540,7 @@ def _vec_sector(circuit: AnsatzCircuit, rho: DensityMatrix,
     representatives, premise = branches(np.flatnonzero(rho.vec.amplitudes),
                                         kept)
     flips = set(premise)
-    for r, _, _, paired in steps:
+    for r, _, paired in steps:
         mask = int(circuit.mask[r])
         flips.add(mask << to_rows)
         flips.add(mask << to_columns)
@@ -612,7 +650,10 @@ def noisy_ensemble_energy(h: PauliSum, circuit, prep, theta,
     """Noisy-gate evolution of prep + ansatz, then per-term shot estimates.
 
     The preparation does not depend on theta: its noisy state is evolved
-    once per calibration and program, and each call starts from a copy.
+    once per calibration and program.  The ansatz program compiled from
+    it (``NoisyProgram``) depends only on which angles are nonzero, so it
+    is kept on the circuit by (prepared state, nonzero angles), at most
+    ``pauli.SECTOR_CACHE_SIZE`` of them.
     Every non-identity Pauli term is sampled independently (no measurement
     grouping); the identity term contributes its coefficient exactly.
     Per-term traces read the plans ``h.plans(n)`` compiled once per
@@ -625,7 +666,15 @@ def noisy_ensemble_energy(h: PauliSum, circuit, prep, theta,
     if prepared is None:
         prepared = evolve_noisy(prep.program, n, calib)
         calib._derived[key] = prepared
-    rho = apply_noisy_ansatz(prepared.copy(), circuit, theta, calib)
+    angles = circuit.angles(theta)
+    active = [angle != 0.0 for angle in angles]
+    # The key holds the prepared state itself, so its address can never
+    # name another state while the program is kept.
+    program = cached_sector(
+        circuit._noisy_programs, (prepared, bytes(active)),
+        lambda: _noisy_program(circuit, prepared, active, calib))
+    rho = DensityMatrix(n)
+    program.run(rho, angles)
     total = 0.0
     for coeff, plan in h.plans(n):
         if plan.flip is None and plan.signs is None:  # the identity string

@@ -1,20 +1,33 @@
+import argparse
 import csv
 import io
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import qpvqe.cli as cli
 import qpvqe.pauli as pauli
+from qpvqe.ansatz import build_uccgsd
 from qpvqe.cli import run_cli
+from qpvqe.fermion import enumerate_sz_excitations
+from qpvqe.harness import parse_record, record_get, record_get_all
+from qpvqe.observables import (energy_gap, full_purified_state,
+                               gap_from_full_purified, prepare_pair,
+                               supported_projector_pairs,
+                               transition_amplitude)
 from qpvqe.pauli import PauliSum
 
 from conftest import data_path
 
 H2 = data_path("hamiltonians", "h2_0.70.ham")
 H4 = data_path("hamiltonians", "h4_0.90.ham")
+LIH = data_path("hamiltonians", "lih_1.60.ham")
 CAL = data_path("calibration", "ibmq_manila.cal")
+LIH_RECORD = os.path.join(os.path.dirname(__file__), "..", "bench", "data",
+                          "lih_1.60.rec")
 
 
 def invoke(argv, capsys):
@@ -174,6 +187,116 @@ class TestRunAndConsumers:
         assert len({key for key, _ in compiled}) == 1
         assert [n for _, n in compiled] == ([5, 6] if command == "gaps"
                                              else [5])
+
+
+def recorded_theta(record):
+    with open(record) as fh:
+        return record_get(parse_record(fh.read()), "theta").split()
+
+
+def with_theta(record, path, values):
+    """A copy of ``record`` at ``path`` whose theta line is ``values``."""
+    with open(record) as fh:
+        lines = [f"theta: {' '.join(values)}" if line.startswith("theta:")
+                 else line for line in fh.read().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def readout_bytes(circuit, theta, refs, h, pairs):
+    """Raw bytes of every value ``gaps --projector`` and ``amplitudes``
+    print, and of the states they read."""
+    pair_states = prepare_pair(circuit, theta, refs, pairs)
+    state = full_purified_state(circuit, theta, refs)
+    projected = sorted(supported_projector_pairs(refs.k) & set(pairs))
+    values = (energy_gap(pair_states, h),
+              gap_from_full_purified(circuit, theta, refs, h, projected,
+                                     state),
+              transition_amplitude(pair_states, h))
+    return ([np.array(v).tobytes() for v in values]
+            + [pair.state.amplitudes.tobytes() for pair in pair_states]
+            + [state.amplitudes.tobytes()])
+
+
+class TestActiveGeneratorReadout:
+    """A readout builds only the generators of theta*'s nonzero entries;
+    every value and state must equal the full circuit's bit for bit."""
+
+    def check(self, record, hamiltonian=None):
+        h, circuit, refs, theta, pairs = cli._load_readout(argparse.Namespace(
+            result=record, hamiltonian=hamiltonian, pairs=None))
+        with open(record) as fh:
+            fields = parse_record(fh.read())
+        full_theta = np.array([float(t) for t in recorded_theta(record)])
+        full = build_uccgsd(enumerate_sz_excitations(
+            h.n_qubits // 2,
+            effective=record_get_all(fields, "excitation") or None))
+        # -0.0 counts as zero
+        assert theta.size == circuit.parameter_count
+        assert theta.size == np.count_nonzero(full_theta)
+        assert (readout_bytes(circuit, theta, refs, h, pairs)
+                == readout_bytes(full, full_theta, refs, h, pairs))
+        return circuit, full
+
+    def test_stored_lih_record(self):
+        circuit, full = self.check(LIH_RECORD, LIH)
+        assert (circuit.parameter_count, full.parameter_count) == (99, 400)
+        assert (len(circuit.rotations), len(full.rotations)) == (588, 2520)
+
+    def test_h2_record(self, record_path):
+        self.check(record_path)
+
+    def test_h4_record_with_excitations(self, tmp_path):
+        # out of listing order, with zero, tiny and negative entries
+        labels = ["d:2,3,4,5", "s:0,1", "d:0,1,4,5", "s:1,2", "d:0,3,1,2",
+                  "s:1,3"]
+        record = str(tmp_path / "h4.rec")
+        assert run_cli(["run", "--hamiltonian", H4, "--sector", "4,0",
+                        "-k", "4", "--excitations", *labels,
+                        "--max-iterations", "5", "--no-ed",
+                        "--out", record]) == 0
+        theta = np.array([float(t) for t in recorded_theta(record)])
+        assert np.any(theta < 0) and np.any(theta == 0)
+        circuit, _ = self.check(record)
+        active = [labels[i] for i in np.flatnonzero(theta)]
+        assert circuit == build_uccgsd(enumerate_sz_excitations(4, active))
+
+    def test_negative_zero_entries(self, tmp_path):
+        # the zero and roundoff entries written as -0
+        values = ["-0" if abs(float(t)) < 1e-7 else t
+                  for t in recorded_theta(LIH_RECORD)]
+        assert values.count("-0") == 400 - 73
+        circuit, _ = self.check(
+            with_theta(LIH_RECORD, tmp_path / "negative_zero.rec", values),
+            LIH)
+        assert circuit.parameter_count == 73
+
+    @pytest.mark.parametrize("zero", ["0", "-0"])
+    def test_all_zero_theta(self, tmp_path, capsys, zero):
+        record = with_theta(LIH_RECORD, tmp_path / "zero.rec",
+                            [zero] * 400)
+        circuit, _ = self.check(record, LIH)
+        assert circuit.rotations == () and circuit.parameter_count == 0
+        code, out = invoke(["gaps", "--result", record, "--hamiltonian", LIH,
+                            "--projector"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:3] == ["0,1,-0.152941253473",
+                                         "0,1,-0.152941253473 # projector"]
+
+    @pytest.mark.parametrize("command", ["gaps", "amplitudes"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda values: values[1:], "expected 400 parameters, got 399"),
+        (lambda values: ["nan"] + values[1:], "parameters must be finite"),
+        (lambda values: values + ["0"], "expected 400 parameters, got 401")],
+        ids=["short", "nan", "long"])
+    def test_bad_theta_fails_before_any_output(self, tmp_path, capsys,
+                                               command, edit, message):
+        record = with_theta(LIH_RECORD, tmp_path / "bad.rec",
+                            edit(recorded_theta(LIH_RECORD)))
+        code = run_cli([command, "--result", record, "--hamiltonian", LIH])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["gaps", "amplitudes"])

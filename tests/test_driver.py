@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpvqe import driver
+from qpvqe import ansatz, driver
 from qpvqe.ansatz import build_uccgsd
 from qpvqe.driver import (QpvqeConfig, attach_certificate, ensemble_energy,
                           error_bound, extract_eigenpairs, optimize)
@@ -9,11 +9,13 @@ from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.harness import exact_diagonalize, load_hamiltonian
 from qpvqe.pauli import PauliString, PauliSum
 from qpvqe.state_prep import (ReferenceSet, WeightVector, build_purified_prep,
-                              default_weights)
+                              default_weights, select_reference_determinants)
 from qpvqe.statevector import inner_product
 
 from oracles import (ensemble_energy_by_states, gradient, kron_matrix,
                      symmetry_expectations)
+
+from conftest import data_path
 
 CHEMICAL_ACCURACY_HA = 1.6e-3
 
@@ -89,15 +91,49 @@ class TestOptimize:
         calls = []
         real = driver.value_and_gradient
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(args[1])
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(driver, "value_and_gradient", spy)
         result = optimize(p.h, p.circuit, p.prep, p.config)
         assert len(calls) == result.evaluations
         # the run backtracks, so the count covers backtrack attempts
         assert result.evaluations > result.iterations_used + 1
+
+    @pytest.mark.parametrize("name, m_spatial, probe", [
+        ("h2_0.70.ham", 2, False), ("h2_0.70.ham", 2, True),
+        ("lih_1.60.ham", 5, False)], ids=["h2", "h2-probe", "lih"])
+    def test_one_backward_sweep_per_accepted_step_and_descent_start(
+            self, monkeypatch, name, m_spatial, probe):
+        # A rejected attempt stops after its forward pass, so the sweeps
+        # are the descents' starting points and their accepted steps.
+        h = load_hamiltonian(data_path("hamiltonians", name))
+        circuit = build_uccgsd(enumerate_sz_excitations(m_spatial))
+        prep = build_purified_prep(default_weights(4),
+                                   select_reference_determinants(h, 2, 0.0, 4))
+        sweeps, descents = [], []
+        real_sweep, real_descent = ansatz._backward_sweep, driver._adam_descent
+
+        def spy_sweep(*args):
+            sweeps.append(args)
+            return real_sweep(*args)
+
+        def spy_descent(*args, **kwargs):
+            descents.append(args)
+            return real_descent(*args, **kwargs)
+
+        monkeypatch.setattr(ansatz, "_backward_sweep", spy_sweep)
+        monkeypatch.setattr(driver, "_adam_descent", spy_descent)
+        if probe:  # force one saddle probe after the first descent
+            monkeypatch.setattr(driver, "_is_ascending", lambda e: False)
+            monkeypatch.setattr(driver, "SADDLE_PROBES", 1)
+        result = optimize(h, circuit, prep, QpvqeConfig())
+        assert len(descents) == (2 if probe else 1)
+        # the trace holds each descent's start and each accepted step
+        assert len(sweeps) == len(result.ensemble_trace)
+        # attempts were rejected, and none of them swept
+        assert result.evaluations > len(sweeps)
 
     def test_gradient_small_at_optimum(self, h2_problem, h2_result):
         p = h2_problem

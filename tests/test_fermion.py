@@ -8,7 +8,7 @@ import pytest
 from qpvqe.fermion import (ExcitationGenerator, FermionTerm,
                            enumerate_sz_excitations, jordan_wigner,
                            jordan_wigner_sum, parse_excitation_label,
-                           spin_of, spin_orbital)
+                           spin_of, spin_orbital, sz_excitation_labels)
 from qpvqe.pauli import PauliString, PauliSum, to_matrix
 
 from oracles import (generator_terms, number_operator, string_jordan_wigner,
@@ -123,6 +123,14 @@ class TestEnumeration:
         labels = [g.label() for g in a]
         singles = [l for l in labels if l.startswith("s")]
         assert labels[:len(singles)] == singles
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_listed_labels_build_the_full_enumeration(self, m):
+        # a readout takes parameter i's label from the listing
+        labels = sz_excitation_labels(m)
+        full = enumerate_sz_excitations(m)
+        assert [g.label() for g in full] == labels
+        assert enumerate_sz_excitations(m, effective=labels or None) == full
 
     def test_effective_list(self):
         gens = enumerate_sz_excitations(2, effective=["d:0,1,2,3", "d:0,3,1,2"])

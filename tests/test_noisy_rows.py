@@ -11,6 +11,7 @@ bit, signs of zero included, so states are compared by raw ``tobytes``.
 import numpy as np
 import pytest
 
+from qpvqe import noise
 from qpvqe.ansatz import build_uccgsd
 from qpvqe.fermion import enumerate_sz_excitations
 from qpvqe.noise import (DensityMatrix, apply_noisy_ansatz, evolve_noisy,
@@ -183,6 +184,68 @@ class TestSectorMap:
             noisy_ensemble_energy(p.h, circuit, p.prep,
                                   rng.uniform(-0.5, 0.5, 2), manila)
         assert len(circuit._vec_sectors) == 1
+        assert len(circuit._noisy_programs) == 1
+
+
+def reference_energy(h, circuit, prep, theta, calib):
+    """The noisy objective with no sampler, evolved on the full register
+    from a fresh noisy preparation."""
+    rho = full_register_noisy_ansatz(
+        evolve_noisy(prep.program, prep.n_qubits, calib), circuit, theta,
+        calib)
+    total = 0.0
+    for coeff, plan in h.plans(prep.n_qubits):
+        if plan.flip is None and plan.signs is None:
+            total += coeff.real
+        else:
+            total += coeff.real * float(rho.pauli_trace(plan).real)
+    return total
+
+
+class TestProgramMap:
+    """``noisy_ensemble_energy`` keeps its compiled ansatz program on the
+    circuit by (prepared state, nonzero angles)."""
+
+    @pytest.mark.parametrize("name", CIRCUITS)
+    def test_kept_programs_bit_equal_to_full_register(self, h2_problem,
+                                                      manila, name):
+        p = h2_problem
+        circuit = fresh_circuit(CIRCUITS[name])
+        rng = np.random.default_rng(71)
+        thetas = [theta_with_zeros(rng, circuit.parameter_count)
+                  for _ in range(100)]
+        for theta in thetas + thetas[::-1]:  # compiled, then mostly kept
+            ours = noisy_ensemble_energy(p.h, circuit, p.prep, theta, manila)
+            assert np.float64(ours).tobytes() == np.float64(
+                reference_energy(p.h, circuit, p.prep, theta,
+                                 manila)).tobytes()
+            assert len(circuit._noisy_programs) <= SECTOR_CACHE_SIZE
+
+    def test_keyed_by_the_prepared_state(self, h2_problem, monkeypatch):
+        p = h2_problem
+        circuit = fresh_circuit(TWO_DOUBLE)
+        compiled = []
+        real = noise._noisy_program
+
+        def counting(circuit, rho, active, calib):
+            compiled.append(rho)
+            return real(circuit, rho, active, calib)
+
+        monkeypatch.setattr(noise, "_noisy_program", counting)
+        path = data_path("calibration", "ibmq_manila.cal")
+        values = []
+        for calib in (load_calibration(path), load_calibration(path)):
+            for theta in ([0.3, -0.2], [0.1, 0.5], [0.0, 0.4]):
+                values.append(noisy_ensemble_energy(p.h, circuit, p.prep,
+                                                    theta, calib))
+            prepared = calib._derived[("prep", p.prep.n_qubits,
+                                       p.prep.program)]
+            assert compiled[-1] is prepared
+        # one program per calibration's state and set of nonzero angles;
+        # each key holds its state, so no freed state's address is reused
+        assert len(compiled) == 4
+        assert [key[0] for key in circuit._noisy_programs] == compiled
+        assert values[:3] == values[3:]
 
 
 class TestThetaChecked:

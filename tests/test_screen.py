@@ -470,10 +470,10 @@ class TestDescent:
         real_vg = driver.value_and_gradient
         real_descent = driver._adam_descent
 
-        def spy_vg(circuit, theta, h, initial, screen):
+        def spy_vg(circuit, theta, h, initial, screen, **kwargs):
             sector = screen.sector(theta)
             calls.append((len(descents), len(sector.order), sector.rows.size))
-            return real_vg(circuit, theta, h, initial, screen)
+            return real_vg(circuit, theta, h, initial, screen, **kwargs)
 
         def spy_descent(*args, **kwargs):
             descents.append(kwargs["screen"])
@@ -567,6 +567,25 @@ class TestSectorRows:
                 circuit, theta, h, initial)[0])
             full_state = apply_ansatz(circuit, theta, initial.copy())
             assert abs(energy - expectation(h, full_state)) <= 1e-12
+
+    def test_bound_keeps_energy_and_gradient_bits(self, stored_problem):
+        # The optimizer's acceptance bound: above it no gradient is
+        # computed, at or below it the gradient's bits are unchanged.
+        h, circuit, initial = stored_problem[:3]
+        screen = symmetry_screen(circuit, h, initial)
+        for theta in stored_thetas(h, circuit):
+            energy, grad = value_and_gradient(circuit, theta, h, initial,
+                                              screen)
+            for bound in (np.inf, energy + 1e-7, energy,
+                          np.nextafter(energy, -np.inf), energy - 1e-7,
+                          -np.inf, np.nan):
+                value, bounded = value_and_gradient(
+                    circuit, theta, h, initial, screen, bound=bound)
+                assert same_bits(value, energy)
+                if energy <= bound:
+                    assert same_bits(bounded, grad)
+                else:
+                    assert bounded is None
 
     def test_rows_are_the_on_parity_sector_of_each_branch(self,
                                                           stored_problem):
